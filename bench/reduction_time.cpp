@@ -19,9 +19,11 @@
 
 #include "automaton/PipelineAutomaton.h"
 #include "machines/MachineModel.h"
+#include "reduce/GeneratingSet.h"
 #include "reduce/Reduction.h"
 #include "reduce/ReductionCache.h"
 #include "support/Stats.h"
+#include "support/ThreadPool.h"
 
 #include <benchmark/benchmark.h>
 
@@ -112,6 +114,23 @@ void BM_ReduceWord64(benchmark::State &State) {
   }
 }
 
+/// Algorithm 1 plus the prune alone, on a precomputed matrix, with the
+/// pool the pipeline would pass them (only the prune splits its work).
+void BM_FoldPrune(benchmark::State &State) {
+  MachineDescription Flat = flatFor(static_cast<int>(State.range(0)));
+  State.SetLabel(labelFor(State));
+  ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(Flat);
+  unsigned Threads = static_cast<unsigned>(State.range(1));
+  ThreadPool Pool(Threads);
+  ThreadPool *MaybePool = Threads > 1 ? &Pool : nullptr;
+  for (auto _ : State) {
+    (void)_;
+    std::vector<SynthesizedResource> Pruned = pruneGeneratingSet(
+        buildGeneratingSet(FLM, nullptr, MaybePool), MaybePool);
+    benchmark::DoNotOptimize(Pruned.size());
+  }
+}
+
 /// Cache-cold: every iteration starts from an evicted entry, so the timed
 /// region is the full pipeline plus one store. The eviction itself is
 /// outside the timed region.
@@ -178,10 +197,13 @@ void BM_AutomatonBuild(benchmark::State &State) {
 
 BENCHMARK(BM_ForbiddenLatencyMatrix)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_ReduceResUses)
-    ->Args({0, 1})->Args({1, 1})->Args({2, 1})
+    ->Args({0, 1})->Args({0, 4})->Args({1, 1})->Args({2, 1})
     ->Args({3, 1})->Args({3, 8})
     ->Args({4, 1})->Args({4, 8})
-    ->Args({5, 1})->Args({5, 8})
+    ->Args({5, 1})->Args({5, 4})->Args({5, 8})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FoldPrune)
+    ->Args({0, 1})->Args({0, 4})->Args({5, 1})->Args({5, 4})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ReduceWord64)
     ->Args({0, 1})->Args({1, 1})->Args({2, 1})

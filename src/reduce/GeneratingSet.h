@@ -68,13 +68,13 @@ enumerateElementaryPairs(const ForbiddenLatencyMatrix &FLM);
 /// Runs Algorithm 1 on \p FLM, returning the generating set of maximal
 /// resources (possibly including submaximal extras).
 ///
-/// With \p Pool, the per-pair compatibility scan over the accumulated
-/// resources runs in parallel blocks; Rules 1–4 are then applied
-/// sequentially in resource-index order from the precomputed compatibility
-/// verdicts. The verdicts are read-only functions of the forbidden
-/// latencies and of resource state *before* the pair is folded — exactly
-/// what the sequential fold reads — so the result is bit-identical to the
-/// sequential fold at every thread count.
+/// Resources are folded as bitsets over the usages Algorithm 1 can place,
+/// so a pair costs one compatibility mask plus a few word operations per
+/// resource. The fold is sequential at every thread count, so its result
+/// and trace cannot depend on \p Pool: a per-pair parallel scan cost more
+/// in hand-offs than the word operations it split (see EXPERIMENTS.md,
+/// "§6 — reduction cost"). \p Pool is accepted so callers can pass the
+/// pipeline's pool to both phases.
 std::vector<SynthesizedResource>
 buildGeneratingSet(const ForbiddenLatencyMatrix &FLM,
                    const GeneratingSetTrace *Trace = nullptr,

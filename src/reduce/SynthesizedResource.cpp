@@ -26,13 +26,6 @@ bool SynthesizedResource::contains(const SynthUsage &U) const {
   return std::binary_search(Usages.begin(), Usages.end(), U);
 }
 
-void SynthesizedResource::insert(const SynthUsage &U) {
-  if (contains(U))
-    return;
-  Usages.push_back(U);
-  normalize();
-}
-
 std::vector<ForbiddenLatency> SynthesizedResource::generatedLatencies() const {
   std::vector<ForbiddenLatency> Result;
   Result.reserve(Usages.size() * (Usages.size() + 1) / 2);
