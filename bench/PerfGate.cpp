@@ -2,7 +2,7 @@
 
 #include "PerfGate.h"
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -19,30 +19,7 @@
 using namespace rmd;
 using namespace rmd::bench;
 
-const std::vector<std::string> &rmd::bench::perfCorpus() {
-  static const std::vector<std::string> Corpus = {
-      "fig1",     "cydra5",  "alpha21064", "mips-r3000",
-      "toy-vliw", "playdoh", "m88100"};
-  return Corpus;
-}
-
 namespace {
-
-MachineDescription machineByName(const std::string &Name) {
-  if (Name == "fig1")
-    return makeFig1Machine();
-  if (Name == "cydra5")
-    return makeCydra5().MD;
-  if (Name == "alpha21064")
-    return makeAlpha21064().MD;
-  if (Name == "mips-r3000")
-    return makeMipsR3000().MD;
-  if (Name == "toy-vliw")
-    return makeToyVliw().MD;
-  if (Name == "playdoh")
-    return makePlayDoh().MD;
-  return makeM88100().MD;
-}
 
 using Clock = std::chrono::steady_clock;
 
@@ -107,10 +84,10 @@ double measureQueryMqps(const MachineDescription &MD,
 
 std::vector<PerfEntry> rmd::bench::measurePerfCorpus(int Repeats) {
   std::vector<PerfEntry> Entries;
-  for (const std::string &Name : perfCorpus()) {
+  for (const std::string &Name : machineNames()) {
     PerfEntry E;
     E.Machine = Name;
-    ExpandedMachine EM = expandAlternatives(machineByName(Name));
+    ExpandedMachine EM = expandAlternatives(loadMachine(Name).take().MD);
 
     double BestMs = 0.0;
     ReductionResult Result;

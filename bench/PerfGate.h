@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The perf-regression gate's measurement and comparison layer: replays a
-/// pinned mini-corpus (the seven built-in machine models), measures
+/// pinned mini-corpus (the seven catalog machines), measures
 /// reduction time and query throughput per machine, serializes the result
 /// as the versioned "rmd-bench-v1" JSON document (docs/observability.md),
 /// and compares a fresh measurement against a checked-in baseline with a
@@ -34,12 +34,9 @@ struct PerfEntry {
   double BitvectorMqps = 0.0;
 };
 
-/// The pinned corpus: names accepted by the built-in model factories, in
-/// report order.
-const std::vector<std::string> &perfCorpus();
-
-/// Measures every corpus machine, taking the min of \p Repeats runs per
-/// metric (min-of-N is the standard noise filter for wall-clock gates).
+/// Measures every catalog machine (machineNames(), in report order),
+/// taking the min of \p Repeats runs per metric (min-of-N is the standard
+/// noise filter for wall-clock gates).
 std::vector<PerfEntry> measurePerfCorpus(int Repeats);
 
 /// Writes entries as the "rmd-bench-v1" JSON document.

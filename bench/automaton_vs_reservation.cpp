@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "automaton/AutomatonQuery.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -104,7 +104,8 @@ int main(int Argc, char **Argv) {
   const int Horizon = 96;
   const int Steps = 6000;
 
-  for (const MachineModel &M : {makeMipsR3000(), makeAlpha21064()}) {
+  for (const char *Name : {"mips-r3000", "alpha21064"}) {
+    MachineModel M = loadMachine(Name).take();
     MachineDescription Flat = expandAlternatives(M.MD).Flat;
     MachineDescription Reduced = reduceMachine(Flat).Reduced;
 

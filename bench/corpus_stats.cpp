@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "sched/ScheduleRender.h"
 #include "support/TextTable.h"
@@ -20,7 +21,7 @@ using namespace rmd;
 
 int main(int Argc, char **Argv) {
   rmd::StatsJsonGuard StatsJson(Argc, Argv, "corpus_stats");
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   CorpusParams Params; // the Table 5/6 corpus
   std::vector<DepGraph> Corpus = buildCorpus(Cydra, Params);

@@ -1,6 +1,6 @@
 //===- bench/perf_gate.cpp - Perf-regression gate CLI ---------------------===//
 //
-// Replays the pinned mini-corpus (the seven built-in machine models),
+// Replays the pinned mini-corpus (the seven catalog machines),
 // measures reduction time and query throughput, and writes the
 // "rmd-bench-v1" JSON document. Modes:
 //

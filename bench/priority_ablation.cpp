@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machines/Catalog.h"
 #include "support/TextTable.h"
 #include "workload/Experiment.h"
 
@@ -19,7 +20,7 @@ using namespace rmd;
 
 int main(int Argc, char **Argv) {
   rmd::StatsJsonGuard StatsJson(Argc, Argv, "priority_ablation");
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
 
   CorpusParams Params;

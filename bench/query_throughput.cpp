@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "automaton/PipelineAutomaton.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -43,15 +43,15 @@ struct Setup {
 };
 
 const Setup &cydraSetup() {
-  static Setup S(makeCydra5());
+  static Setup S(loadMachine("cydra5").take());
   return S;
 }
 const Setup &mipsSetup() {
-  static Setup S(makeMipsR3000());
+  static Setup S(loadMachine("mips-r3000").take());
   return S;
 }
 const Setup &alphaSetup() {
-  static Setup S(makeAlpha21064());
+  static Setup S(loadMachine("alpha21064").take());
   return S;
 }
 

@@ -18,7 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "automaton/PipelineAutomaton.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/GeneratingSet.h"
 #include "reduce/Reduction.h"
 #include "reduce/ReductionCache.h"
@@ -40,11 +40,11 @@ namespace {
 MachineDescription flatFor(int Index) {
   switch (Index) {
   case 0:
-    return expandAlternatives(makeCydra5().MD).Flat;
+    return expandAlternatives(loadMachine("cydra5").take().MD).Flat;
   case 1:
-    return expandAlternatives(makeMipsR3000().MD).Flat;
+    return expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   case 2:
-    return expandAlternatives(makeAlpha21064().MD).Flat;
+    return expandAlternatives(loadMachine("alpha21064").take().MD).Flat;
   case 3:
     return expandAlternatives(makeScaledVliw(16, 48).MD).Flat;
   case 4:

@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/ExactCover.h"
 #include "reduce/GeneratingSet.h"
 #include "reduce/Reduction.h"
@@ -71,7 +71,7 @@ int main(int Argc, char **Argv) {
 
   // The paper's example machine: greedy is known optimal here (5 usages,
   // Figure 1d).
-  GapSample Fig1 = measure(makeFig1Machine(), 1u << 22);
+  GapSample Fig1 = measure(loadMachine("fig1").take().MD, 1u << 22);
   std::cout << "fig1: greedy " << Fig1.Greedy << " usages, optimal "
             << (Fig1.Solved ? std::to_string(Fig1.Optimal) : "n/a") << "\n\n";
 
@@ -107,8 +107,8 @@ int main(int Argc, char **Argv) {
   T.cell("greedy usages");
   T.cell("exact usages");
   T.cell("nodes");
-  for (const MachineModel &M :
-       {makeToyVliw(), makeMipsR3000(), makeAlpha21064(), makeCydra5()}) {
+  for (const char *Name : {"toy-vliw", "mips-r3000", "alpha21064", "cydra5"}) {
+    MachineModel M = loadMachine(Name).take();
     MachineDescription Flat = expandAlternatives(M.MD).Flat;
     ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(Flat);
     std::vector<SynthesizedResource> Pruned =

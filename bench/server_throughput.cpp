@@ -21,7 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/ReductionCache.h"
 #include "server/Client.h"
 #include "server/Server.h"
@@ -51,30 +51,6 @@ struct BenchResult {
   double Mqps = 0;
   double SingleMqps = 0; ///< one local thread on the same module, for scale
 };
-
-MachineModel modelFor(const std::string &Name) {
-  if (Name == "fig1") {
-    MachineModel Model;
-    Model.MD = makeFig1Machine();
-    Model.Latency.assign(Model.MD.numOperations(), 1);
-    Model.Role.assign(Model.MD.numOperations(), OpRole::IntAlu);
-    return Model;
-  }
-  if (Name == "cydra5")
-    return makeCydra5();
-  if (Name == "alpha21064")
-    return makeAlpha21064();
-  if (Name == "mips-r3000")
-    return makeMipsR3000();
-  if (Name == "toy-vliw")
-    return makeToyVliw();
-  if (Name == "playdoh")
-    return makePlayDoh();
-  if (Name == "m88100")
-    return makeM88100();
-  std::cerr << "server_throughput: unknown machine '" << Name << "'\n";
-  std::exit(1);
-}
 
 /// One client worker: stream Batches requests of BatchLen events, record
 /// each request's latency in microseconds.
@@ -154,8 +130,12 @@ BenchResult benchMachine(const std::string &Name, size_t Clients,
   Out.Machine = Name;
   Out.Clients = Clients;
 
-  MachineModel Model = modelFor(Name);
-  ExpandedMachine EM = expandAlternatives(Model.MD);
+  Expected<MachineModel> Model = loadMachine(Name);
+  if (!Model) {
+    std::cerr << "server_throughput: " << Model.status().message() << "\n";
+    std::exit(1);
+  }
+  ExpandedMachine EM = expandAlternatives(Model.value().MD);
   SafeReduction Safe = reduceMachineOrFallback(EM.Flat);
   const MachineDescription &Reduced = Safe.Result.Reduced;
 

@@ -12,6 +12,8 @@
 
 #include "BenchSupport.h"
 
+#include "machines/Catalog.h"
+
 #include <iostream>
 #include "support/Stats.h"
 
@@ -19,7 +21,7 @@ using namespace rmd;
 
 int main(int Argc, char **Argv) {
   rmd::StatsJsonGuard StatsJson(Argc, Argv, "table1_cydra5");
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   bench::ClassMachine CM = bench::prepareClassMachine(Cydra.MD);
 
   std::cout << "=== Table 1: reduced machine descriptions, Cydra 5 ===\n\n";

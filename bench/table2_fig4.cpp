@@ -10,6 +10,7 @@
 
 #include "BenchSupport.h"
 
+#include "machines/Catalog.h"
 #include "mdesc/Render.h"
 #include "reduce/Metrics.h"
 #include "workload/Corpus.h"
@@ -34,7 +35,7 @@ static MachineDescription restrictTo(const MachineDescription &MD,
 
 int main(int Argc, char **Argv) {
   rmd::StatsJsonGuard StatsJson(Argc, Argv, "table2_fig4");
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
 
   // Which original operations does the loop benchmark actually use?
   CorpusParams Params;

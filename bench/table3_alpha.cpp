@@ -11,6 +11,7 @@
 #include "BenchSupport.h"
 
 #include "automaton/PipelineAutomaton.h"
+#include "machines/Catalog.h"
 #include "reduce/Metrics.h"
 
 #include <iostream>
@@ -20,7 +21,7 @@ using namespace rmd;
 
 int main(int Argc, char **Argv) {
   rmd::StatsJsonGuard StatsJson(Argc, Argv, "table3_alpha");
-  MachineModel Alpha = makeAlpha21064();
+  MachineModel Alpha = loadMachine("alpha21064").take();
   bench::ClassMachine CM = bench::prepareClassMachine(Alpha.MD);
 
   std::cout << "=== Table 3: reduced machine descriptions, DEC Alpha "

@@ -10,6 +10,7 @@
 #include "BenchSupport.h"
 
 #include "automaton/PipelineAutomaton.h"
+#include "machines/Catalog.h"
 
 #include <iostream>
 #include "support/Stats.h"
@@ -18,7 +19,7 @@ using namespace rmd;
 
 int main(int Argc, char **Argv) {
   rmd::StatsJsonGuard StatsJson(Argc, Argv, "table4_mips");
-  MachineModel Mips = makeMipsR3000();
+  MachineModel Mips = loadMachine("mips-r3000").take();
   bench::ClassMachine CM = bench::prepareClassMachine(Mips.MD);
 
   std::cout << "=== Table 4: reduced machine descriptions, MIPS "

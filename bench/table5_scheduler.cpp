@@ -10,6 +10,7 @@
 
 #include "BenchSupport.h"
 
+#include "machines/Catalog.h"
 #include "support/TextTable.h"
 #include "workload/Experiment.h"
 
@@ -30,7 +31,7 @@ static void printRow(TextTable &T, const char *Label, const OnlineStats &S,
 
 int main(int Argc, char **Argv) {
   rmd::StatsJsonGuard StatsJson(Argc, Argv, "table5_scheduler");
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
 
   CorpusParams Params; // 1327 loops, fixed seed

@@ -19,6 +19,7 @@
 
 #include "BenchSupport.h"
 
+#include "machines/Catalog.h"
 #include "reduce/Metrics.h"
 #include "support/TextTable.h"
 #include "workload/Experiment.h"
@@ -30,7 +31,7 @@ using namespace rmd;
 
 int main(int Argc, char **Argv) {
   rmd::StatsJsonGuard StatsJson(Argc, Argv, "table6_workunits");
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
 
   // Representations under test. Reductions run on the full expanded

@@ -26,7 +26,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -46,24 +46,12 @@ using namespace rmd;
 namespace {
 
 MachineDescription machineByName(const std::string &Name) {
-  if (Name == "fig1")
-    return makeFig1Machine();
-  if (Name == "cydra5")
-    return makeCydra5().MD;
-  if (Name == "alpha21064")
-    return makeAlpha21064().MD;
-  if (Name == "mips-r3000")
-    return makeMipsR3000().MD;
-  if (Name == "toy-vliw")
-    return makeToyVliw().MD;
-  if (Name == "playdoh")
-    return makePlayDoh().MD;
-  if (Name == "m88100")
-    return makeM88100().MD;
-  std::cerr << "unknown machine '" << Name
-            << "' (try: fig1 cydra5 alpha21064 mips-r3000 toy-vliw playdoh "
-               "m88100)\n";
-  std::exit(2);
+  Expected<MachineModel> Model = loadMachine(Name);
+  if (!Model) {
+    std::cerr << Model.status().message() << "\n";
+    std::exit(2);
+  }
+  return Model.take().MD;
 }
 
 int usage() {

@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
 #include "sched/ListScheduler.h"
@@ -20,7 +20,7 @@
 using namespace rmd;
 
 int main() {
-  MachineModel Alpha = makeAlpha21064();
+  MachineModel Alpha = loadMachine("alpha21064").take();
   ExpandedMachine EM = expandAlternatives(Alpha.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 

@@ -6,7 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/GeneratingSet.h"
 
 #include <iostream>
@@ -30,7 +30,7 @@ static const char *ruleName(GeneratingRule Rule) {
 }
 
 int main() {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(MD);
 
   std::cout << "=== Figure 3: building the generating set for the Figure 1 "

@@ -1,14 +1,14 @@
 //===- examples/imsched.cpp - Command-line modulo scheduler ---------------===//
 //
 // Software-pipelines a loop written in the loop-graph text format (see
-// docs/mdl.md and sched/GraphIO.h) on any built-in machine or on an
+// docs/mdl.md and sched/GraphIO.h) on any catalog machine or on an
 // annotated MDL description, using the reduced machine description and
 // the Iterative Modulo Scheduler. Prints MII analysis, the schedule, and
 // the kernel view.
 //
 // Usage:
-//   imsched [--machine=cydra5|alpha21064|mips|playdoh|toyvliw]
-//           [--mdl=<machine.mdl>] [--budget=<ratio>]
+//   imsched [--machine=fig1|cydra5|alpha21064|mips-r3000|toy-vliw|playdoh|
+//                      m88100] [--mdl=<machine.mdl>] [--budget=<ratio>]
 //           [--deadline-ms=<n>] [--faults=<spec>] [loop.graph | -]
 //
 // With no loop file, schedules a built-in sample (the tri-diagonal
@@ -23,6 +23,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machines/Catalog.h"
 #include "machines/MdlModel.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -126,20 +127,13 @@ int main(int Argc, char **Argv) {
     if (!Parsed)
       return 1;
     Model = std::move(*Parsed);
-  } else if (MachineName == "cydra5") {
-    Model = makeCydra5();
-  } else if (MachineName == "alpha21064") {
-    Model = makeAlpha21064();
-  } else if (MachineName == "mips") {
-    Model = makeMipsR3000();
-  } else if (MachineName == "playdoh") {
-    Model = makePlayDoh();
-  } else if (MachineName == "toyvliw") {
-    Model = makeToyVliw();
   } else {
-    std::cerr << "imsched: error: unknown machine '" << MachineName
-              << "'\n";
-    return 1;
+    Expected<MachineModel> Loaded = loadMachine(MachineName);
+    if (!Loaded) {
+      std::cerr << "imsched: error: " << Loaded.status().message() << "\n";
+      return 1;
+    }
+    Model = Loaded.take();
   }
 
   // Read the loop.

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
 #include "reduce/ReductionCache.h"
@@ -34,7 +35,7 @@ static QueryEnvironment environmentFor(const MachineDescription &Flat,
 }
 
 int main() {
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
 
   // The kernel: x[i] = z[i] * (y[i] - x[i-1]) -- a first-order recurrence.

@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "query/PredicatedQuery.h"
 
@@ -22,7 +22,7 @@
 using namespace rmd;
 
 int main() {
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   MachineDescription Flat = expandAlternatives(Cydra.MD).Flat;
 
   OpId Load0 = Flat.findOperation("load@0");

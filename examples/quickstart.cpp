@@ -14,7 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "flm/ForbiddenLatencyMatrix.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdesc/Render.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -27,7 +27,7 @@ int main() {
   // (a) The machine description: operation A is fully pipelined, B is
   // partially pipelined (a multiply stage held 4 cycles, a rounding stage
   // held 2).
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   std::cout << "=== (a) machine description ===\n";
   renderMachine(std::cout, MD);
 

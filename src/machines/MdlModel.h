@@ -3,8 +3,9 @@
 /// \file
 /// Serializes complete MachineModels (description + latencies + roles) to
 /// and from the MDL text format, using the `latency` and `role` operation
-/// annotations. This is the file format the repository's `machines/*.mdl`
-/// samples use; round-tripping every builtin model is asserted by tests.
+/// annotations. This is the format of the `machines/*.mdl` files that
+/// define the corpus machines (machines/Catalog.h embeds and loads them);
+/// tests assert that every catalog machine round-trips.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,7 +3,7 @@
 /// \file
 /// Serializes a MachineDescription back to MDL text. writeMdl() and
 /// parseMdl() round-trip: parse(write(MD)) == MD (asserted by tests for
-/// every builtin machine and for reduced descriptions).
+/// every catalog machine and for reduced descriptions).
 ///
 //===----------------------------------------------------------------------===//
 

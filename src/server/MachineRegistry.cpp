@@ -2,6 +2,7 @@
 
 #include "server/MachineRegistry.h"
 
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/ReductionCache.h"
@@ -50,45 +51,6 @@ LoadedMachine::makeModule(const QueryConfig &Config) const {
   return std::make_unique<DiscreteQueryModule>(Reduced, Config);
 }
 
-const std::vector<std::string> &MachineRegistry::knownMachines() {
-  static const std::vector<std::string> Names = {
-      "fig1",     "cydra5",  "alpha21064", "mips-r3000",
-      "toy-vliw", "playdoh", "m88100"};
-  return Names;
-}
-
-static Expected<MachineModel> modelByName(const std::string &Name) {
-  if (Name == "fig1") {
-    // Fig. 1 ships as a bare description; give it unit latencies and
-    // generic roles so schedule-loop requests can still name its ops.
-    MachineModel Model;
-    Model.MD = makeFig1Machine();
-    Model.Latency.assign(Model.MD.numOperations(), 1);
-    Model.Role.assign(Model.MD.numOperations(), OpRole::IntAlu);
-    return Model;
-  }
-  if (Name == "cydra5")
-    return makeCydra5();
-  if (Name == "alpha21064")
-    return makeAlpha21064();
-  if (Name == "mips-r3000")
-    return makeMipsR3000();
-  if (Name == "toy-vliw")
-    return makeToyVliw();
-  if (Name == "playdoh")
-    return makePlayDoh();
-  if (Name == "m88100")
-    return makeM88100();
-  std::string Known;
-  for (const std::string &N : MachineRegistry::knownMachines()) {
-    if (!Known.empty())
-      Known += ", ";
-    Known += N;
-  }
-  return Status(ErrorCode::ProtocolError,
-                "unknown machine '" + Name + "' (known: " + Known + ")");
-}
-
 Expected<const LoadedMachine *> MachineRegistry::load(const std::string &Name) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -100,7 +62,7 @@ Expected<const LoadedMachine *> MachineRegistry::load(const std::string &Name) {
   // Build outside the lock: reduction is seconds-scale on big machines and
   // must not stall unrelated lookups. A racing load of the same name is
   // resolved below (first registration wins; the loser's work is dropped).
-  Expected<MachineModel> Model = modelByName(Name);
+  Expected<MachineModel> Model = loadMachine(Name);
   if (!Model)
     return Model.status();
   auto Built = std::make_unique<LoadedMachine>(Name, std::move(Model.value()));

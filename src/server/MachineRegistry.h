@@ -96,14 +96,10 @@ private:
 /// restart is the reload path).
 class MachineRegistry {
 public:
-  /// The machine names load() accepts (the perf-corpus spelling:
-  /// "fig1", "cydra5", "alpha21064", "mips-r3000", "toy-vliw", "playdoh",
-  /// "m88100").
-  static const std::vector<std::string> &knownMachines();
-
-  /// Loads \p Name (or returns the already-loaded instance). Fails with
-  /// ProtocolError on an unknown name; reduction failures never surface
-  /// here — they degrade to the original description with degraded() set.
+  /// Loads catalog machine \p Name (machines/Catalog.h), or returns the
+  /// already-loaded instance. Fails with ProtocolError on an unknown name;
+  /// reduction failures never surface here — they degrade to the original
+  /// description with degraded() set.
   Expected<const LoadedMachine *> load(const std::string &Name);
 
   /// The machine with \p Id, or null.

@@ -7,7 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "automaton/AutomatonQuery.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
 #include "support/RNG.h"
@@ -17,7 +17,7 @@
 using namespace rmd;
 
 TEST(AutomatonQuery, Fig1Basics) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   AutomatonQueryModule Q(MD, /*Horizon=*/32);
   OpId A = MD.findOperation("A");
   OpId B = MD.findOperation("B");
@@ -37,7 +37,7 @@ TEST(AutomatonQuery, ReverseDirectionCatchesLaterOps) {
   // Insertion *below* an already scheduled operation must consult the
   // reverse automaton: B@2 first, then A@1 conflicts (B issues 1 cycle
   // after A is forbidden).
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   AutomatonQueryModule Q(MD, 32);
   OpId A = MD.findOperation("A");
   OpId B = MD.findOperation("B");
@@ -47,7 +47,7 @@ TEST(AutomatonQuery, ReverseDirectionCatchesLaterOps) {
 }
 
 TEST(AutomatonQuery, HorizonBounds) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   AutomatonQueryModule Q(MD, 10);
   OpId B = MD.findOperation("B"); // 8 cycles long
   EXPECT_TRUE(Q.check(B, 2));     // 2 + 8 == 10 fits
@@ -56,7 +56,7 @@ TEST(AutomatonQuery, HorizonBounds) {
 }
 
 TEST(AutomatonQuery, AssignAndFreeEvictsTheConflictSet) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   AutomatonQueryModule Q(MD, 32);
   OpId A = MD.findOperation("A");
   OpId B = MD.findOperation("B");
@@ -74,7 +74,7 @@ TEST(AutomatonQuery, AssignAndFreeEvictsTheConflictSet) {
 }
 
 TEST(AutomatonQuery, WorkCountersPopulated) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   AutomatonQueryModule Q(MD, 32);
   Q.check(MD.findOperation("B"), 4);
   EXPECT_EQ(Q.counters().CheckCalls, 1u);
@@ -93,8 +93,9 @@ class AutomatonQueryEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(AutomatonQueryEquivalence, RandomTraffic) {
   MachineDescription Flat =
       GetParam() == 0
-          ? expandAlternatives(makeToyVliw().MD).Flat
-          : reduceMachine(expandAlternatives(makeMipsR3000().MD).Flat)
+          ? expandAlternatives(loadMachine("toy-vliw").take().MD).Flat
+          : reduceMachine(
+                expandAlternatives(loadMachine("mips-r3000").take().MD).Flat)
                 .Reduced;
 
   const int Horizon = 48;

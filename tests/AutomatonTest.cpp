@@ -2,7 +2,7 @@
 
 #include "automaton/PipelineAutomaton.h"
 #include "flm/ForbiddenLatencyMatrix.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/Reduction.h"
 #include "support/RNG.h"
 
@@ -63,7 +63,7 @@ std::vector<std::vector<OpId>> randomSchedule(RNG &R,
 } // namespace
 
 TEST(PipelineAutomaton, Fig1BasicTransitions) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   auto A = PipelineAutomaton::build(MD);
   ASSERT_TRUE(A.has_value());
   OpId OpA = MD.findOperation("A");
@@ -84,7 +84,8 @@ TEST(PipelineAutomaton, Fig1BasicTransitions) {
 
 TEST(PipelineAutomaton, AgreesWithForbiddenLatencyOracle) {
   for (const MachineDescription &MD :
-       {makeFig1Machine(), expandAlternatives(makeToyVliw().MD).Flat}) {
+       {loadMachine("fig1").take().MD,
+        expandAlternatives(loadMachine("toy-vliw").take().MD).Flat}) {
     auto A = PipelineAutomaton::build(MD);
     ASSERT_TRUE(A.has_value()) << MD.name();
     ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(MD);
@@ -105,7 +106,8 @@ TEST(PipelineAutomaton, AgreesWithForbiddenLatencyOracle) {
 }
 
 TEST(PipelineAutomaton, ReverseAcceptsMirroredSchedules) {
-  MachineDescription MD = expandAlternatives(makeToyVliw().MD).Flat;
+  MachineDescription MD =
+      expandAlternatives(loadMachine("toy-vliw").take().MD).Flat;
   auto Fwd = PipelineAutomaton::build(MD);
   auto Rev = PipelineAutomaton::buildReverse(MD);
   ASSERT_TRUE(Fwd.has_value());
@@ -138,7 +140,8 @@ TEST(PipelineAutomaton, StateCountsReasonable) {
   // depends only on the forbidden latency matrix, so build from the
   // reduction (the raw hardware-level description exceeds any sane cap --
   // exactly the state-explosion problem of Section 2).
-  MachineDescription Flat = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   MachineDescription Mips = reduceMachine(Flat).Reduced;
   auto A = PipelineAutomaton::build(Mips, 1u << 22);
   ASSERT_TRUE(A.has_value());
@@ -151,7 +154,8 @@ TEST(PipelineAutomaton, StateCountsReasonable) {
 }
 
 TEST(PipelineAutomaton, CapAborts) {
-  MachineDescription Mips = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Mips =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   EXPECT_FALSE(PipelineAutomaton::build(Mips, 4).has_value());
 }
 
@@ -159,7 +163,8 @@ TEST(PipelineAutomaton, RawHardwareDescriptionExplodes) {
   // The hardware-level MIPS description (with its redundant pipeline-stage
   // rows) overflows a 2^18-state cap that the reduced description fits
   // comfortably -- the motivation for reducing before building automata.
-  MachineDescription Flat = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   EXPECT_FALSE(PipelineAutomaton::build(Flat, 1u << 18).has_value());
 }
 

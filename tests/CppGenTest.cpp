@@ -1,6 +1,6 @@
 //===- tests/CppGenTest.cpp - C++ table emission tests --------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdl/CppGen.h"
 #include "reduce/Reduction.h"
 
@@ -22,7 +22,7 @@ size_t countOccurrences(const std::string &Haystack,
 } // namespace
 
 TEST(CppGen, Fig1TablesComplete) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   std::string Out = writeCppTables(MD, "fig1_tables");
 
   EXPECT_NE(Out.find("namespace fig1_tables {"), std::string::npos);
@@ -65,7 +65,8 @@ TEST(CppGen, EmptyTableGetsPlaceholder) {
 }
 
 TEST(CppGen, ReducedMachineUsageCountsMatch) {
-  MachineDescription Flat = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   MachineDescription Reduced = reduceMachine(Flat).Reduced;
   std::string Out = writeCppTables(Reduced, "mips_reduced");
 

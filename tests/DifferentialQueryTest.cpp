@@ -10,7 +10,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -33,13 +33,8 @@ namespace {
 /// The seven machine models of the test matrix.
 std::vector<std::pair<std::string, MachineDescription>> allModels() {
   std::vector<std::pair<std::string, MachineDescription>> Models;
-  Models.emplace_back("fig1", makeFig1Machine());
-  Models.emplace_back("cydra5", makeCydra5().MD);
-  Models.emplace_back("alpha21064", makeAlpha21064().MD);
-  Models.emplace_back("mips-r3000", makeMipsR3000().MD);
-  Models.emplace_back("toy-vliw", makeToyVliw().MD);
-  Models.emplace_back("playdoh", makePlayDoh().MD);
-  Models.emplace_back("m88100", makeM88100().MD);
+  for (const std::string &Name : machineNames())
+    Models.emplace_back(Name, loadMachine(Name).take().MD);
   return Models;
 }
 
@@ -150,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(AllMachines, DifferentialFuzz,
 //===----------------------------------------------------------------------===//
 
 TEST(ShadowQueryModule, CatchesBrokenModuleWithRenderedDiff) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   QueryConfig Config = QueryConfig::linear();
 
   ShadowOptions Options;
@@ -198,7 +193,7 @@ TEST(ShadowQueryModule, CatchesBrokenModuleWithRenderedDiff) {
 }
 
 TEST(ShadowQueryModuleDeathTest, DefaultHandlerIsFatal) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   QueryConfig Config = QueryConfig::linear();
   OpId A = MD.findOperation("A");
   EXPECT_DEATH(
@@ -221,7 +216,7 @@ TEST(ShadowQueryModuleDeathTest, DefaultHandlerIsFatal) {
 //===----------------------------------------------------------------------===//
 
 TEST(QueryTrace, ListSchedulerTraceReplaysAcrossAllPairings) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 
@@ -280,7 +275,7 @@ TEST(QueryTrace, ListSchedulerTraceReplaysAcrossAllPairings) {
 }
 
 TEST(QueryTrace, SerializationRoundTrip) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   QueryConfig Config = QueryConfig::modulo(6);
 
@@ -352,7 +347,7 @@ TEST(QueryTrace, DeserializeRejectsMalformedInput) {
 }
 
 TEST(QueryTrace, ModuloSchedulerEmitsOneSegmentPerAttempt) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 
@@ -402,7 +397,7 @@ TEST(QueryTrace, ModuloSchedulerEmitsOneSegmentPerAttempt) {
 }
 
 TEST(QueryTrace, OperationDrivenSchedulerTraceReplays) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 
@@ -438,7 +433,7 @@ TEST(QueryTrace, OperationDrivenSchedulerTraceReplays) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceFuzzer, IsDeterministicAndCoversAllCallKinds) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   QueryConfig Config = QueryConfig::modulo(7);
 

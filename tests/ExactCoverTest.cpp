@@ -1,6 +1,6 @@
 //===- tests/ExactCoverTest.cpp - Exact cover solver tests ----------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/ExactCover.h"
 #include "reduce/GeneratingSet.h"
 #include "reduce/Reduction.h"
@@ -45,7 +45,7 @@ MachineDescription randomMachine(RNG &R) {
 } // namespace
 
 TEST(ExactCover, Figure1OptimumIsFive) {
-  Prepared P = prepare(makeFig1Machine());
+  Prepared P = prepare(loadMachine("fig1").take().MD);
   auto Exact = selectCoverOptimal(P.FLM, P.Pruned);
   ASSERT_TRUE(Exact.has_value());
   // Figure 1d: 5 usages (1 for A, 4 for B) are necessary and sufficient.
@@ -59,7 +59,7 @@ TEST(ExactCover, Figure1OptimumIsFive) {
 }
 
 TEST(ExactCover, ProducesEquivalentDescriptions) {
-  Prepared P = prepare(makeToyVliw().MD);
+  Prepared P = prepare(loadMachine("toy-vliw").take().MD);
   auto Exact = selectCoverOptimal(P.FLM, P.Pruned);
   ASSERT_TRUE(Exact.has_value());
   MachineDescription Reduced =
@@ -90,7 +90,7 @@ TEST(ExactCover, NeverWorseThanGreedy) {
 }
 
 TEST(ExactCover, BudgetExhaustionReported) {
-  Prepared P = prepare(makeCydra5().MD);
+  Prepared P = prepare(loadMachine("cydra5").take().MD);
   // Two nodes are never enough for a real machine.
   EXPECT_FALSE(selectCoverOptimal(P.FLM, P.Pruned, 2).has_value());
 }

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "sched/Expansion.h"
 #include "sched/IterativeModuloScheduler.h"
@@ -48,8 +49,8 @@ TEST(Expansion, IssueOrderingAndCycles) {
 }
 
 TEST(Expansion, AllKernelsExpandCleanly) {
-  for (const MachineModel &M :
-       {makeCydra5(), makeMipsR3000(), makeAlpha21064(), makePlayDoh()}) {
+  for (const char *Name : {"cydra5", "mips-r3000", "alpha21064", "playdoh"}) {
+    MachineModel M = loadMachine(Name).take();
     ExpandedMachine EM = expandAlternatives(M.MD);
     for (const RoleGraph &K : livermoreKernels()) {
       DepGraph G = bind(K, M);
@@ -68,7 +69,7 @@ TEST(Expansion, AllKernelsExpandCleanly) {
 TEST(Expansion, DetectsATightenedII) {
   // The same placement at a smaller II must fail expansion: copies of the
   // partially pipelined multiply collide.
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   DepGraph G = bind(livermoreKernels()[1], Cydra); // inner_product
   ModuloScheduleResult R =

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "machines/Catalog.h"
 #include "reduce/Metrics.h"
 #include "reduce/Reduction.h"
 #include "workload/Experiment.h"
@@ -18,7 +19,7 @@
 using namespace rmd;
 
 TEST(ExperimentConsistency, FourWaysOneTrace) {
-  MachineModel Mips = makeMipsR3000();
+  MachineModel Mips = loadMachine("mips-r3000").take();
   ExpandedMachine EM = expandAlternatives(Mips.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 
@@ -71,7 +72,7 @@ TEST(ExperimentConsistency, FourWaysOneTrace) {
 TEST(ExperimentConsistency, WeightedWorkImprovesWithK) {
   // On the Cydra, forcing k = 1 vs the maximal packing must not invert
   // the paper's trend: more cycles per word, fewer units per call.
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
   unsigned MaxK = cyclesPerWord(Reduced.numResources(), 64);

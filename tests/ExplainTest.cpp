@@ -1,6 +1,6 @@
 //===- tests/ExplainTest.cpp - Reduction provenance tests -----------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/Explain.h"
 #include "reduce/Reduction.h"
 
@@ -11,7 +11,7 @@
 using namespace rmd;
 
 TEST(Explain, ResourceLatenciesMatchSynthesizedView) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   // Resource r3 is used by B at cycles 2..5: its row forbids exactly
   // F(B,B) over distances 0..3 (canonical).
   std::vector<ForbiddenLatency> L = resourceLatencies(MD, 3);
@@ -28,7 +28,7 @@ TEST(Explain, ResourceLatenciesMatchSynthesizedView) {
 }
 
 TEST(Explain, Fig1Report) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   MachineDescription Reduced = reduceMachine(MD).Reduced;
   ReductionReport Report = explainReduction(MD, Reduced);
 
@@ -50,7 +50,8 @@ TEST(Explain, Fig1Report) {
 TEST(Explain, RedundantRowsDetectedOnCydra) {
   // The enriched Cydra carries deliberately redundant rows (input
   // latches, iteration control); the report must identify some of them.
-  MachineDescription Flat = expandAlternatives(makeCydra5().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("cydra5").take().MD).Flat;
   MachineDescription Reduced = reduceMachine(Flat).Reduced;
   ReductionReport Report = explainReduction(Flat, Reduced);
 
@@ -65,7 +66,7 @@ TEST(Explain, RedundantRowsDetectedOnCydra) {
 }
 
 TEST(Explain, PrintedReportMentionsKeyFacts) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   MachineDescription Reduced = reduceMachine(MD).Reduced;
   std::ostringstream OS;
   printReductionReport(OS, explainReduction(MD, Reduced), Reduced);

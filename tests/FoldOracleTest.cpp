@@ -11,7 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "RandomMachine.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/GeneratingSet.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -337,11 +337,10 @@ void expectMatchesReference(const std::string &Name,
 } // namespace
 
 TEST(FoldOracle, CorpusMachines) {
-  expectMatchesReference("fig1", expandAlternatives(makeFig1Machine()).Flat);
-  for (const MachineModel &M :
-       {makeCydra5(), makeAlpha21064(), makeMipsR3000(), makeToyVliw(),
-        makePlayDoh(), makeM88100()})
-    expectMatchesReference(M.MD.name(), expandAlternatives(M.MD).Flat);
+  for (const std::string &Name : machineNames()) {
+    MachineDescription MD = loadMachine(Name).take().MD;
+    expectMatchesReference(MD.name(), expandAlternatives(MD).Flat);
+  }
 }
 
 TEST(FoldOracle, ScaledVliw16) {

@@ -3,7 +3,7 @@
 #include "flm/ForbiddenLatencyMatrix.h"
 #include "flm/LatencySet.h"
 #include "flm/OperationClasses.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 
 #include <gtest/gtest.h>
 
@@ -35,7 +35,7 @@ TEST(LatencySet, UnionNegateSubset) {
 }
 
 TEST(ForbiddenLatencyMatrix, Figure1ExactSets) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(MD);
   OpId A = MD.findOperation("A");
   OpId B = MD.findOperation("B");
@@ -55,9 +55,9 @@ TEST(ForbiddenLatencyMatrix, Figure1ExactSets) {
 }
 
 TEST(ForbiddenLatencyMatrix, SelfZeroAlwaysForbidden) {
-  for (const MachineModel &M :
-       {makeCydra5(), makeAlpha21064(), makeMipsR3000(), makeToyVliw(),
-        makePlayDoh()}) {
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000", "toy-vliw",
+                           "playdoh"}) {
+    MachineModel M = loadMachine(Name).take();
     MachineDescription Flat = expandAlternatives(M.MD).Flat;
     ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(Flat);
     EXPECT_TRUE(FLM.isAntisymmetric()) << M.MD.name();
@@ -73,7 +73,8 @@ TEST(ForbiddenLatencyMatrix, SelfZeroAlwaysForbidden) {
 TEST(ForbiddenLatencyMatrix, MatchesManualOverlapCheck) {
   // Exhaustively cross-check Equation (1) against a direct simulation of
   // overlapping reservation tables for the toy VLIW.
-  MachineDescription Flat = expandAlternatives(makeToyVliw().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("toy-vliw").take().MD).Flat;
   ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(Flat);
   int MaxLen = Flat.maxTableLength();
   for (OpId X = 0; X < Flat.numOperations(); ++X)
@@ -92,7 +93,8 @@ TEST(ForbiddenLatencyMatrix, MatchesManualOverlapCheck) {
 }
 
 TEST(ForbiddenLatencyMatrix, CanonicalLatenciesRoundTrip) {
-  MachineDescription Flat = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(Flat);
   std::vector<ForbiddenLatency> Canonical = FLM.canonicalLatencies();
   EXPECT_EQ(Canonical.size(), FLM.canonicalCount());
@@ -113,7 +115,7 @@ TEST(ForbiddenLatencyMatrix, InsertKeepsAntisymmetry) {
 }
 
 TEST(OperationClasses, Figure1TwoClasses) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(MD);
   OperationClasses Classes = partitionOperationClasses(FLM);
   EXPECT_EQ(Classes.numClasses(), 2u);
@@ -147,7 +149,8 @@ TEST(OperationClasses, IdenticalOperationsMerge) {
 TEST(OperationClasses, ClassMachinePreservesMatrixShape) {
   // The quotient machine's matrix must equal the restriction of the
   // original matrix to representatives.
-  MachineDescription Flat = expandAlternatives(makeCydra5().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("cydra5").take().MD).Flat;
   ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(Flat);
   OperationClasses Classes = partitionOperationClasses(FLM);
   MachineDescription Quotient = buildClassMachine(Flat, Classes);
@@ -162,7 +165,8 @@ TEST(OperationClasses, ClassMachinePreservesMatrixShape) {
 }
 
 TEST(OperationClasses, EveryMemberMatchesRepresentative) {
-  MachineDescription Flat = expandAlternatives(makeAlpha21064().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("alpha21064").take().MD).Flat;
   ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(Flat);
   OperationClasses Classes = partitionOperationClasses(FLM);
   for (size_t C = 0; C < Classes.numClasses(); ++C)

@@ -10,7 +10,7 @@
 
 #include "generated/fig1_tables.h"
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdl/CppGen.h"
 #include "reduce/Reduction.h"
 
@@ -28,7 +28,8 @@ using namespace rmd;
 namespace {
 
 MachineDescription reducedFig1() {
-  MachineDescription Flat = expandAlternatives(makeFig1Machine()).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("fig1").take().MD).Flat;
   return reduceMachine(Flat).Reduced;
 }
 

@@ -1,5 +1,6 @@
 //===- tests/GraphIOTest.cpp - Loop-graph format tests --------------------===//
 
+#include "machines/Catalog.h"
 #include "sched/GraphIO.h"
 #include "sched/MII.h"
 
@@ -10,7 +11,7 @@ using namespace rmd;
 namespace {
 
 void expectGraphError(const std::string &Text, const std::string &Needle) {
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   DiagnosticEngine Diags;
   EXPECT_FALSE(parseLoopGraph(Text, Cydra, Diags).has_value());
   EXPECT_TRUE(Diags.hasErrors());
@@ -23,7 +24,7 @@ void expectGraphError(const std::string &Text, const std::string &Needle) {
 } // namespace
 
 TEST(GraphIO, ParsesLoopWithDefaultsAndOverrides) {
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   DiagnosticEngine Diags;
   std::optional<DepGraph> G = parseLoopGraph(R"(
     loop t {
@@ -55,7 +56,7 @@ TEST(GraphIO, ParsesLoopWithDefaultsAndOverrides) {
 }
 
 TEST(GraphIO, RoundTrips) {
-  MachineModel Mips = makeMipsR3000();
+  MachineModel Mips = loadMachine("mips-r3000").take();
   DiagnosticEngine Diags;
   std::optional<DepGraph> G = parseLoopGraph(R"(
     loop rt {

@@ -1,6 +1,6 @@
 //===- tests/LintTest.cpp - Machine description linter tests --------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdesc/Lint.h"
 
 #include <gtest/gtest.h>
@@ -102,9 +102,9 @@ TEST(Lint, BuiltinMachinesAreMostlyClean) {
   // Builtins may legitimately contain identical-table pairs (operation
   // classes) but no unused resources, no empty tables, no over-long
   // tables, no duplicate alternatives.
-  for (const MachineModel &M :
-       {makeCydra5(), makeAlpha21064(), makeMipsR3000(), makeToyVliw(),
-        makePlayDoh(), makeM88100()}) {
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000", "toy-vliw",
+                           "playdoh", "m88100"}) {
+    MachineModel M = loadMachine(Name).take();
     DiagnosticEngine Diags;
     lintMachine(M.MD, Diags);
     EXPECT_FALSE(hasWarning(Diags, "used by no operation")) << M.MD.name();

@@ -1,6 +1,6 @@
 //===- tests/MachineDescriptionTest.cpp - mdesc/ unit tests ---------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdesc/MachineDescription.h"
 #include "mdesc/Render.h"
 
@@ -96,16 +96,16 @@ TEST(MachineDescription, ValidateCatchesProblems) {
 }
 
 TEST(MachineDescription, ValidateAcceptsBuiltins) {
-  for (const MachineDescription &MD :
-       {makeFig1Machine(), makeCydra5().MD, makeAlpha21064().MD,
-        makeMipsR3000().MD, makeToyVliw().MD, makePlayDoh().MD}) {
+  for (const char *Name : {"fig1", "cydra5", "alpha21064", "mips-r3000",
+                           "toy-vliw", "playdoh"}) {
+    MachineDescription MD = loadMachine(Name).take().MD;
     DiagnosticEngine Diags;
     EXPECT_TRUE(MD.validate(Diags)) << MD.name();
   }
 }
 
 TEST(ExpandAlternatives, FlattensAndMapsBack) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   EXPECT_FALSE(Toy.MD.isExpanded());
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   EXPECT_TRUE(EM.Flat.isExpanded());
@@ -133,14 +133,14 @@ TEST(ExpandAlternatives, FlattensAndMapsBack) {
 }
 
 TEST(ExpandAlternatives, IdentityOnExpandedMachine) {
-  MachineDescription Fig1 = makeFig1Machine();
+  MachineDescription Fig1 = loadMachine("fig1").take().MD;
   ExpandedMachine EM = expandAlternatives(Fig1);
   EXPECT_EQ(EM.Flat.numOperations(), Fig1.numOperations());
   EXPECT_EQ(EM.Flat.operation(0).table(), Fig1.operation(0).table());
 }
 
 TEST(Render, TableShowsUsages) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   std::ostringstream OS;
   renderTable(OS, MD, MD.operation(1).table());
   std::string Out = OS.str();
@@ -152,14 +152,14 @@ TEST(Render, TableShowsUsages) {
 
 TEST(Render, MachineSummary) {
   std::ostringstream OS;
-  renderSummary(OS, makeFig1Machine());
+  renderSummary(OS, loadMachine("fig1").take().MD);
   EXPECT_EQ(OS.str(), "fig1: 5 resources, 2 operations, 11 usages\n");
 }
 
 TEST(MachineModels, MetadataSizesMatch) {
-  for (const MachineModel &M : {makeCydra5(), makeAlpha21064(),
-                                makeMipsR3000(), makeToyVliw(),
-                                makePlayDoh()}) {
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000", "toy-vliw",
+                           "playdoh"}) {
+    MachineModel M = loadMachine(Name).take();
     EXPECT_EQ(M.Latency.size(), M.MD.numOperations()) << M.MD.name();
     EXPECT_EQ(M.Role.size(), M.MD.numOperations()) << M.MD.name();
     EXPECT_FALSE(M.operationsWithRole(OpRole::Load).empty()) << M.MD.name();

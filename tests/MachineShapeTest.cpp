@@ -13,7 +13,7 @@
 
 #include "automaton/PipelineAutomaton.h"
 #include "flm/OperationClasses.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/Metrics.h"
 #include "reduce/Reduction.h"
 
@@ -45,7 +45,7 @@ Shape shapeOf(const MachineDescription &MD) {
 TEST(MachineShape, MipsMaxLatencyIsTheDivider) {
   // Paper: "428 forbidden latencies (all < 34)"; the 34-cycle occupancy of
   // the integer divider dominates.
-  Shape S = shapeOf(makeMipsR3000().MD);
+  Shape S = shapeOf(loadMachine("mips-r3000").take().MD);
   EXPECT_EQ(S.FLM.maxAbsoluteLatency(), 33);
   EXPECT_GE(S.FLM.canonicalCount(), 150u);
 }
@@ -53,7 +53,7 @@ TEST(MachineShape, MipsMaxLatencyIsTheDivider) {
 TEST(MachineShape, AlphaMaxLatencyIsTheFpDivider) {
   // Paper: "all < 58"; the double-precision divide busies the divider
   // through cycle 58.
-  Shape S = shapeOf(makeAlpha21064().MD);
+  Shape S = shapeOf(loadMachine("alpha21064").take().MD);
   EXPECT_GE(S.FLM.maxAbsoluteLatency(), 55);
   EXPECT_LE(S.FLM.maxAbsoluteLatency(), 59);
 }
@@ -65,9 +65,9 @@ TEST(MachineShape, ReductionFactorsAreSubstantial) {
     double MinUsageFactor;
   };
   std::vector<Expectation> Cases;
-  Cases.push_back({makeCydra5().MD, 2.0, 1.7});
-  Cases.push_back({makeAlpha21064().MD, 2.0, 1.7});
-  Cases.push_back({makeMipsR3000().MD, 2.0, 1.5});
+  Cases.push_back({loadMachine("cydra5").take().MD, 2.0, 1.7});
+  Cases.push_back({loadMachine("alpha21064").take().MD, 2.0, 1.7});
+  Cases.push_back({loadMachine("mips-r3000").take().MD, 2.0, 1.5});
 
   for (const Expectation &E : Cases) {
     Shape S = shapeOf(E.MD);
@@ -89,7 +89,7 @@ TEST(MachineShape, RedundantRowsVanish) {
   // The deliberately redundant hardware rows (decode latches, pipeline
   // stages, divider control) must not survive reduction: the reduced
   // Cydra 5 must land near the paper's 15 synthesized resources.
-  Shape S = shapeOf(makeCydra5().MD);
+  Shape S = shapeOf(loadMachine("cydra5").take().MD);
   EXPECT_LE(S.Reduced.numResources(), 20u);
   EXPECT_GE(S.Reduced.numResources(), 8u);
   EXPECT_GE(S.Classes.numResources(), 40u); // original stays hardware-rich
@@ -100,8 +100,8 @@ TEST(MachineShape, WordPackingMatchesPaperArithmetic) {
   // cycles once the description is reduced (4 for the Cydra 5, 9 for the
   // MIPS and Alpha in the paper). Require at least 2 cycles per word after
   // reduction while the original packs fewer.
-  for (const MachineModel &M :
-       {makeCydra5(), makeAlpha21064(), makeMipsR3000()}) {
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000"}) {
+    MachineModel M = loadMachine(Name).take();
     Shape S = shapeOf(M.MD);
     unsigned ReducedK = cyclesPerWord(S.Reduced.numResources(), 64);
     unsigned OriginalK = S.Classes.numResources() <= 64
@@ -117,7 +117,7 @@ TEST(MachineShape, AutomatonTablesDwarfReducedDescriptions) {
   // complexity while reduced reservation tables stay tiny. On the MIPS the
   // automaton needs orders of magnitude more memory than the reduced
   // description's reservation tables.
-  Shape S = shapeOf(makeMipsR3000().MD);
+  Shape S = shapeOf(loadMachine("mips-r3000").take().MD);
   auto A = PipelineAutomaton::build(S.Reduced, 1u << 22);
   ASSERT_TRUE(A.has_value());
   size_t ReducedTableBytes =
@@ -128,11 +128,12 @@ TEST(MachineShape, AutomatonTablesDwarfReducedDescriptions) {
 TEST(MachineShape, M88100ReducesLikeTheOthers) {
   // Mueller's machine: the redundant decode/writeback rows vanish and the
   // FP divider dominates the latency census.
-  Shape S = shapeOf(makeM88100().MD);
+  Shape S = shapeOf(loadMachine("m88100").take().MD);
   EXPECT_LT(S.Reduced.numResources(), S.Classes.numResources());
   EXPECT_GE(S.FLM.maxAbsoluteLatency(), 24);
   EXPECT_LE(S.FLM.maxAbsoluteLatency(), 28);
-  MachineDescription Flat = expandAlternatives(makeM88100().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("m88100").take().MD).Flat;
   EXPECT_TRUE(verifyEquivalence(Flat, reduceMachine(Flat).Reduced));
 }
 
@@ -142,7 +143,8 @@ TEST(MachineShape, PlayDohAlternativesSurviveReduction) {
   // verify inside reduceMachine), and alternatives keep their distinct
   // contention behaviour (unit 0 vs unit 1 alternatives are different
   // classes).
-  MachineDescription Flat = expandAlternatives(makePlayDoh().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("playdoh").take().MD).Flat;
   EXPECT_GT(Flat.numOperations(), 30u);
   MachineDescription Reduced = reduceMachine(Flat).Reduced;
   EXPECT_LE(Reduced.numResources(), Flat.numResources());
@@ -165,15 +167,15 @@ TEST(MachineShape, ClassCountsInPaperBallpark) {
   // Not exact (the original descriptions are unpublished), but the class
   // structure should be comparable: tens of classes for the Cydra, around
   // a dozen for the single-chip machines.
-  Shape Cydra = shapeOf(makeCydra5().MD);
+  Shape Cydra = shapeOf(loadMachine("cydra5").take().MD);
   EXPECT_GE(Cydra.Classes.numOperations(), 15u);
   EXPECT_LE(Cydra.Classes.numOperations(), 60u);
 
-  Shape Alpha = shapeOf(makeAlpha21064().MD);
+  Shape Alpha = shapeOf(loadMachine("alpha21064").take().MD);
   EXPECT_GE(Alpha.Classes.numOperations(), 8u);
   EXPECT_LE(Alpha.Classes.numOperations(), 16u);
 
-  Shape Mips = shapeOf(makeMipsR3000().MD);
+  Shape Mips = shapeOf(loadMachine("mips-r3000").take().MD);
   EXPECT_GE(Mips.Classes.numOperations(), 8u);
   EXPECT_LE(Mips.Classes.numOperations(), 18u);
 }

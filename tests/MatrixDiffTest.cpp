@@ -1,7 +1,7 @@
 //===- tests/MatrixDiffTest.cpp - Semantic diff tests ---------------------===//
 
 #include "flm/MatrixDiff.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/Reduction.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 using namespace rmd;
 
 TEST(MatrixDiff, IdenticalDescriptions) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   MatrixDiff Diff = diffMatrices(MD, MD);
   EXPECT_TRUE(Diff.identical());
   std::ostringstream OS;
@@ -20,7 +20,8 @@ TEST(MatrixDiff, IdenticalDescriptions) {
 }
 
 TEST(MatrixDiff, ReductionIsEquivalentDespiteDifferentResources) {
-  MachineDescription Flat = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   MachineDescription Reduced = reduceMachine(Flat).Reduced;
   // Entirely different resources, identical constraints.
   MatrixDiff Diff = diffMatrices(Flat, Reduced);
@@ -30,7 +31,7 @@ TEST(MatrixDiff, ReductionIsEquivalentDespiteDifferentResources) {
 TEST(MatrixDiff, DetectsAStretchedPipeline) {
   // Revision B holds B's multiply stage one cycle longer: new constraints
   // appear, none disappear.
-  MachineDescription A = makeFig1Machine();
+  MachineDescription A = loadMachine("fig1").take().MD;
   MachineDescription B("fig1-rev2");
   for (ResourceId R = 0; R < A.numResources(); ++R)
     B.addResource(A.resourceName(R));

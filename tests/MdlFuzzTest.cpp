@@ -6,7 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdl/Parser.h"
 #include "mdl/Writer.h"
 #include "reduce/Reduction.h"
@@ -67,7 +67,7 @@ TEST(MdlFuzz, RandomBytes) {
 }
 
 TEST(MdlFuzz, MutationsOfValidInput) {
-  std::string Valid = writeMdl(makeCydra5().MD);
+  std::string Valid = writeMdl(loadMachine("cydra5").take().MD);
   RNG R(0x5EED);
   for (int Trial = 0; Trial < 1500; ++Trial) {
     std::string Text = Valid;
@@ -94,7 +94,7 @@ TEST(MdlFuzz, MutationsOfValidInput) {
 }
 
 TEST(MdlFuzz, TruncationsOfValidInput) {
-  std::string Valid = writeMdl(makeMipsR3000().MD);
+  std::string Valid = writeMdl(loadMachine("mips-r3000").take().MD);
   for (size_t Cut = 0; Cut < Valid.size(); Cut += 13)
     parseMustBehave(Valid.substr(0, Cut));
 }

@@ -1,6 +1,6 @@
 //===- tests/MdlTest.cpp - Machine description language tests -------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdl/Parser.h"
 #include "mdl/Writer.h"
 #include "reduce/Reduction.h"
@@ -49,7 +49,7 @@ TEST(Mdl, ParsesFigure1Machine) {
       }
     }
   )");
-  EXPECT_EQ(MD, makeFig1Machine());
+  EXPECT_EQ(MD, loadMachine("fig1").take().MD);
 }
 
 TEST(Mdl, ParsesAlternatives) {
@@ -116,9 +116,9 @@ TEST(Mdl, ErrorLocationsAreAccurate) {
 }
 
 TEST(Mdl, RoundTripsBuiltinMachines) {
-  for (const MachineDescription &MD :
-       {makeFig1Machine(), makeCydra5().MD, makeAlpha21064().MD,
-        makeMipsR3000().MD, makeToyVliw().MD, makePlayDoh().MD}) {
+  for (const char *Name : {"fig1", "cydra5", "alpha21064", "mips-r3000",
+                           "toy-vliw", "playdoh"}) {
+    MachineDescription MD = loadMachine(Name).take().MD;
     std::string Text = writeMdl(MD);
     DiagnosticEngine Diags;
     std::optional<MachineDescription> Back = parseMdl(Text, Diags);
@@ -128,7 +128,8 @@ TEST(Mdl, RoundTripsBuiltinMachines) {
 }
 
 TEST(Mdl, RoundTripsReducedDescriptions) {
-  MachineDescription Flat = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   MachineDescription Reduced = reduceMachine(Flat).Reduced;
   DiagnosticEngine Diags;
   std::optional<MachineDescription> Back = parseMdl(writeMdl(Reduced), Diags);

@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "flm/ForbiddenLatencyMatrix.h"
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "support/RNG.h"
@@ -45,9 +45,11 @@ TEST_P(ModuloProperty, ModulesMatchFirstPrinciplesOracle) {
   auto [MachineIdx, II] = GetParam();
   MachineDescription Flat =
       MachineIdx == 2
-          ? makeFig1Machine()
+          ? loadMachine("fig1").take().MD
           : expandAlternatives(
-                (MachineIdx == 0 ? makeToyVliw() : makeMipsR3000()).MD)
+                loadMachine(MachineIdx == 0 ? "toy-vliw" : "mips-r3000")
+                    .take()
+                    .MD)
                 .Flat;
 
   ForbiddenLatencyMatrix FLM = ForbiddenLatencyMatrix::compute(Flat);

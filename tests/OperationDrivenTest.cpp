@@ -1,6 +1,6 @@
 //===- tests/OperationDrivenTest.cpp - Critical-path-first scheduling -----===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
 #include "sched/OperationDrivenScheduler.h"
@@ -47,7 +47,7 @@ TEST(OperationDriven, PlacesOutOfCycleOrder) {
   // placed first and the independent low op lands *earlier or equal* in
   // time despite being scheduled later -- the unrestricted placement the
   // paper's Section 1 highlights.
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("ooo");
   OpId Mul = Toy.MD.findOperation("mul");
@@ -68,7 +68,7 @@ TEST(OperationDriven, PlacesOutOfCycleOrder) {
 TEST(OperationDriven, DanglingResidueReported) {
   // A trailing mul holds the multiplier past the block's last issue
   // cycle; the result must report it as residue for the successor.
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("resid");
   G.addNode(Toy.MD.findOperation("alu"));
@@ -88,7 +88,7 @@ TEST(OperationDriven, BlockSequencePropagatesResidue) {
   // Two identical mul-heavy blocks: the second block's mul must start
   // later than it would in isolation because block 1's divider^Wmultiplier
   // reservation dangles into it.
-  MachineModel Alpha = makeAlpha21064();
+  MachineModel Alpha = loadMachine("alpha21064").take();
   ExpandedMachine EM = expandAlternatives(Alpha.MD);
   OpId Fdivd = Alpha.MD.findOperation("fdivd");
 
@@ -121,7 +121,7 @@ TEST(OperationDriven, MatchesReducedDescription) {
   // Original and reduced descriptions must drive identical operation-
   // driven schedules (the unrestricted analogue of the paper's 1327-loop
   // validation).
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 
@@ -159,8 +159,8 @@ TEST(OperationDriven, MatchesReducedDescription) {
 }
 
 TEST(OperationDriven, RandomBlocksAllMachines) {
-  for (const MachineModel &M :
-       {makeToyVliw(), makeMipsR3000(), makeAlpha21064(), makePlayDoh()}) {
+  for (const char *Name : {"toy-vliw", "mips-r3000", "alpha21064", "playdoh"}) {
+    MachineModel M = loadMachine(Name).take();
     ExpandedMachine EM = expandAlternatives(M.MD);
     RNG R(99);
     for (int Trial = 0; Trial < 15; ++Trial) {

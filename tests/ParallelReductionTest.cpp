@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdl/Writer.h"
 #include "reduce/Reduction.h"
 #include "support/ThreadPool.h"
@@ -23,19 +23,15 @@ using namespace rmd;
 namespace {
 
 struct NamedMachine {
-  const char *Name;
+  std::string Name;
   MachineDescription Flat;
 };
 
 std::vector<NamedMachine> allModels() {
   std::vector<NamedMachine> Models;
-  Models.push_back({"fig1", expandAlternatives(makeFig1Machine()).Flat});
-  Models.push_back({"cydra5", expandAlternatives(makeCydra5().MD).Flat});
-  Models.push_back({"alpha", expandAlternatives(makeAlpha21064().MD).Flat});
-  Models.push_back({"mips", expandAlternatives(makeMipsR3000().MD).Flat});
-  Models.push_back({"toyvliw", expandAlternatives(makeToyVliw().MD).Flat});
-  Models.push_back({"playdoh", expandAlternatives(makePlayDoh().MD).Flat});
-  Models.push_back({"m88100", expandAlternatives(makeM88100().MD).Flat});
+  for (const std::string &Name : machineNames())
+    Models.push_back(
+        {Name, expandAlternatives(loadMachine(Name).take().MD).Flat});
   return Models;
 }
 
@@ -101,7 +97,8 @@ TEST(ParallelReduction, ThreadsZeroMeansHardwareConcurrency) {
 
   // Threads = 0 must still reduce correctly (whatever the host's core
   // count resolves to).
-  MachineDescription Flat = expandAlternatives(makeCydra5().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("cydra5").take().MD).Flat;
   ReductionOptions Options;
   Options.Threads = 0;
   ReductionOptions Sequential;

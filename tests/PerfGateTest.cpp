@@ -16,11 +16,14 @@
 
 #include "PerfGate.h"
 
+#include "machines/Catalog.h"
+
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
 
+using namespace rmd;
 using namespace rmd::bench;
 
 #ifndef RMD_SOURCE_DIR
@@ -52,10 +55,10 @@ const std::vector<PerfEntry> &measuredOnce() {
 
 TEST(PerfGate, CorpusCoverageAndSanity) {
   const std::vector<PerfEntry> &Entries = measuredOnce();
-  ASSERT_EQ(Entries.size(), perfCorpus().size());
+  ASSERT_EQ(Entries.size(), machineNames().size());
   ASSERT_EQ(Entries.size(), 7u);
   for (size_t I = 0; I < Entries.size(); ++I) {
-    EXPECT_EQ(Entries[I].Machine, perfCorpus()[I]);
+    EXPECT_EQ(Entries[I].Machine, machineNames()[I]);
     EXPECT_GT(Entries[I].ReduceMs, 0.0) << Entries[I].Machine;
     EXPECT_GT(Entries[I].DiscreteMqps, 0.0) << Entries[I].Machine;
     EXPECT_GT(Entries[I].BitvectorMqps, 0.0) << Entries[I].Machine;

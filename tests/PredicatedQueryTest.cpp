@@ -1,6 +1,6 @@
 //===- tests/PredicatedQueryTest.cpp - Predicate-aware reservations -------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "query/PredicatedQuery.h"
 #include "reduce/Reduction.h"
@@ -22,7 +22,7 @@ TEST(Predicates, DisjointnessModel) {
 TEST(PredicatedQuery, ComplementaryOpsShareResources) {
   // IF-converted diamond: the then-side and else-side fadd both want the
   // FP adder in the same cycle; being guarded by p and !p, they may share.
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   MachineDescription Flat = expandAlternatives(Cydra.MD).Flat;
   OpId Fadd = Flat.findOperation("fadd.s@0");
   ASSERT_LT(Fadd, Flat.numOperations());
@@ -50,7 +50,8 @@ TEST(PredicatedQuery, ComplementaryOpsShareResources) {
 TEST(PredicatedQuery, AlwaysPredicateMatchesPlainDiscrete) {
   // With every predicate 0 the module must behave exactly like the plain
   // discrete module.
-  MachineDescription Flat = expandAlternatives(makeToyVliw().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("toy-vliw").take().MD).Flat;
   PredicatedQueryModule QP(Flat, QueryConfig::modulo(6));
   DiscreteQueryModule QD(Flat, QueryConfig::modulo(6));
 
@@ -73,7 +74,7 @@ TEST(PredicatedQuery, AlwaysPredicateMatchesPlainDiscrete) {
 }
 
 TEST(PredicatedQuery, ModuloWrapWithPredicates) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   OpId A = MD.findOperation("A");
   PredicatedQueryModule Q(MD, QueryConfig::modulo(4));
   Q.assign(A, 0, +1, 1);
@@ -86,7 +87,8 @@ TEST(PredicatedQuery, ReducedDescriptionsPreservePredicateSharing) {
   // Predicate-aware sharing works identically on the reduced description:
   // what matters is cell identity, which the reduction preserves up to
   // renaming (same conflict answers).
-  MachineDescription Flat = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   MachineDescription Reduced = reduceMachine(Flat).Reduced;
 
   PredicatedQueryModule QO(Flat, QueryConfig::linear());

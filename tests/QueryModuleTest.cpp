@@ -1,6 +1,6 @@
 //===- tests/QueryModuleTest.cpp - Contention query module tests ----------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -17,7 +17,7 @@ namespace {
 
 /// The Figure 1 machine and its op ids.
 struct Fig1 {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   OpId A = MD.findOperation("A");
   OpId B = MD.findOperation("B");
 };
@@ -159,7 +159,7 @@ TEST(DiscreteQuery, OccupancyRendering) {
 }
 
 TEST(QueryModule, CheckWithAlternatives) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DiscreteQueryModule Q(EM.Flat, QueryConfig::linear());
 
@@ -178,7 +178,7 @@ TEST(QueryModule, CheckWithAlternatives) {
 }
 
 TEST(BitvectorQuery, CheckWithAlternativesUnionFastPath) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   QueryConfig Config = QueryConfig::linear();
   Config.UnionAlternativeCheck = true;
@@ -312,9 +312,9 @@ class QueryEquivalence
 
 TEST_P(QueryEquivalence, RandomTraffic) {
   auto [MachineIdx, Mode, WordBits] = GetParam();
-  MachineModel Models[] = {makeToyVliw(), makeMipsR3000(), makeAlpha21064()};
+  const char *Names[] = {"toy-vliw", "mips-r3000", "alpha21064"};
   MachineDescription Flat =
-      expandAlternatives(Models[MachineIdx].MD).Flat;
+      expandAlternatives(loadMachine(Names[MachineIdx]).take().MD).Flat;
 
   QueryConfig Config = Mode == 0 ? QueryConfig::linear() :
                                    QueryConfig::modulo(Mode);
@@ -382,7 +382,8 @@ TEST(BitvectorQuery, AssignAndFreeTransition) {
 TEST(BitvectorQuery, EvictionAgreesWithDiscrete) {
   // Drive both modules through identical assignAndFree traffic and demand
   // identical eviction sets and final check answers.
-  MachineDescription Flat = expandAlternatives(makeToyVliw().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("toy-vliw").take().MD).Flat;
   DiscreteQueryModule D(Flat, QueryConfig::modulo(6));
   BitvectorQueryModule B(Flat, QueryConfig::modulo(6));
 
@@ -433,7 +434,8 @@ TEST(BitvectorQuery, ModuloEvictionCascadeAcrossTwoTransitions) {
   // update mode, reset() (back to optimistic), and storm through a second
   // transition. At every step the discrete module must report the
   // identical eviction set, and the MRTs must agree cell by cell.
-  MachineDescription Flat = expandAlternatives(makeToyVliw().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("toy-vliw").take().MD).Flat;
   const int II = 5;
   DiscreteQueryModule D(Flat, QueryConfig::modulo(II));
   BitvectorQueryModule B(Flat, QueryConfig::modulo(II));
@@ -482,7 +484,8 @@ TEST(BitvectorQuery, ModuloEvictionCascadeAcrossTwoTransitions) {
 TEST(QueryModule, ReducedDescriptionAnswersIdentically) {
   // The paper's end-to-end guarantee at the query level: original and
   // reduced descriptions answer every query identically.
-  MachineDescription Flat = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   MachineDescription Reduced = reduceMachine(Flat).Reduced;
 
   DiscreteQueryModule QO(Flat, QueryConfig::linear());

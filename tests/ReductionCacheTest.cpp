@@ -8,7 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "mdl/Writer.h"
 #include "reduce/ReductionCache.h"
 
@@ -29,7 +29,7 @@ protected:
     Dir = ::testing::TempDir() + "/rmd-cache-test-" +
           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(Dir);
-    Flat = expandAlternatives(makeCydra5().MD).Flat;
+    Flat = expandAlternatives(loadMachine("cydra5").take().MD).Flat;
   }
   void TearDown() override { std::filesystem::remove_all(Dir); }
 
@@ -129,7 +129,8 @@ TEST_F(ReductionCacheTest, KeySkewedEntryIsAMiss) {
   (void)Cache.reduce(Flat);
   std::string Entry = onlyEntry();
 
-  MachineDescription Other = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Other =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   std::string OtherKey = ReductionCache::key(Other, {});
   std::filesystem::rename(Entry, Dir + "/" + OtherKey + ".mdl");
 
@@ -164,7 +165,8 @@ TEST_F(ReductionCacheTest, UncreatableDirectoryDisablesQuietly) {
 
 TEST_F(ReductionCacheTest, ContentChangesTheKey) {
   std::string Base = ReductionCache::key(Flat, {});
-  MachineDescription Mips = expandAlternatives(makeMipsR3000().MD).Flat;
+  MachineDescription Mips =
+      expandAlternatives(loadMachine("mips-r3000").take().MD).Flat;
   EXPECT_NE(ReductionCache::key(Mips, {}), Base);
 }
 

@@ -6,7 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/Metrics.h"
 #include "reduce/Reduction.h"
 #include "support/RNG.h"
@@ -48,7 +48,7 @@ MachineDescription makeRandomMachine(RNG &R, unsigned OpCount,
 } // namespace
 
 TEST(Reduction, Figure1EndToEnd) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   ReductionResult Result = reduceMachine(MD);
   // 5 original resources -> 2 synthesized; 11 usages -> 5.
   EXPECT_EQ(Result.Reduced.numResources(), 2u);
@@ -59,9 +59,9 @@ TEST(Reduction, Figure1EndToEnd) {
 }
 
 TEST(Reduction, BuiltinMachinesAllObjectives) {
-  for (const MachineModel &M :
-       {makeCydra5(), makeAlpha21064(), makeMipsR3000(), makeToyVliw(),
-        makePlayDoh(), makeM88100()}) {
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000", "toy-vliw",
+                           "playdoh", "m88100"}) {
+    MachineModel M = loadMachine(Name).take();
     MachineDescription Flat = expandAlternatives(M.MD).Flat;
     ReductionResult ResUses = reduceMachine(Flat);
     EXPECT_TRUE(verifyEquivalence(Flat, ResUses.Reduced)) << M.MD.name();
@@ -83,7 +83,8 @@ TEST(Reduction, BuiltinMachinesAllObjectives) {
 TEST(Reduction, ReducedIsFixpointOnResources) {
   // Reducing an already-reduced description must not increase resources or
   // usages.
-  MachineDescription Flat = expandAlternatives(makeCydra5().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("cydra5").take().MD).Flat;
   ReductionResult First = reduceMachine(Flat);
   ReductionResult Second = reduceMachine(First.Reduced);
   EXPECT_LE(Second.Reduced.numResources(), First.Reduced.numResources());
@@ -92,7 +93,7 @@ TEST(Reduction, ReducedIsFixpointOnResources) {
 }
 
 TEST(Reduction, VerifyEquivalenceDetectsDifferences) {
-  MachineDescription A = makeFig1Machine();
+  MachineDescription A = loadMachine("fig1").take().MD;
   // Remove one usage of B: changes F(B,B).
   MachineDescription B("fig1-broken");
   for (ResourceId R = 0; R < A.numResources(); ++R)
@@ -109,7 +110,8 @@ TEST(Reduction, VerifyEquivalenceDetectsDifferences) {
 }
 
 TEST(Reduction, OperationNamesAndOrderPreserved) {
-  MachineDescription Flat = expandAlternatives(makeAlpha21064().MD).Flat;
+  MachineDescription Flat =
+      expandAlternatives(loadMachine("alpha21064").take().MD).Flat;
   ReductionResult Result = reduceMachine(Flat);
   ASSERT_EQ(Result.Reduced.numOperations(), Flat.numOperations());
   for (OpId Op = 0; Op < Flat.numOperations(); ++Op)

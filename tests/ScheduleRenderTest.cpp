@@ -1,6 +1,6 @@
 //===- tests/ScheduleRenderTest.cpp - Schedule rendering tests ------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "sched/IterativeModuloScheduler.h"
 #include "sched/ScheduleRender.h"
@@ -13,7 +13,7 @@
 using namespace rmd;
 
 TEST(ScheduleRender, IssueOrderSortedByTime) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("g");
   G.addNode(Toy.MD.findOperation("load"), "ld");
@@ -32,7 +32,7 @@ TEST(ScheduleRender, IssueOrderSortedByTime) {
 }
 
 TEST(ScheduleRender, KernelShowsStagesAndEmptySlots) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("g");
   G.addNode(Toy.MD.findOperation("load"));
@@ -77,7 +77,7 @@ TEST(ScheduleRender, AnalyzeKernelShapes) {
 TEST(ScheduleRender, RealKernelRoundTrip) {
   // Render an actual modulo schedule; every node must appear exactly once
   // across the kernel rows.
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   DepGraph G = bind(livermoreKernels()[6], Cydra); // daxpy
 

@@ -1,6 +1,6 @@
 //===- tests/SchedulerEdgeTest.cpp - Scheduler edge cases & failures ------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/DiscreteQuery.h"
 #include "sched/IterativeModuloScheduler.h"
 #include "sched/ListScheduler.h"
@@ -28,7 +28,7 @@ QueryEnvironment discreteEnv(const MachineDescription &Flat,
 } // namespace
 
 TEST(ModuloSchedulerEdge, SingleOperationLoop) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("one");
   G.addNode(Toy.MD.findOperation("alu"));
@@ -42,7 +42,7 @@ TEST(ModuloSchedulerEdge, SingleOperationLoop) {
 }
 
 TEST(ModuloSchedulerEdge, SelfRecurrenceDictatesII) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("selfrec");
   NodeId Mul = G.addNode(Toy.MD.findOperation("mul"));
@@ -60,7 +60,7 @@ TEST(ModuloSchedulerEdge, SelfConflictForcesHigherII) {
   // collides with its own copies, so the scheduler must settle at II >= 3
   // even though ResMII of a single mul is 3 anyway; with two muls the
   // bound doubles.
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("twomul");
   G.addNode(Toy.MD.findOperation("mul"));
@@ -74,7 +74,7 @@ TEST(ModuloSchedulerEdge, SelfConflictForcesHigherII) {
 
 TEST(ModuloSchedulerEdge, MaxIICeilingFails) {
   // An impossible ceiling: II may not exceed 2, but the two muls need 6.
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("toohard");
   G.addNode(Toy.MD.findOperation("mul"));
@@ -93,7 +93,7 @@ TEST(ModuloSchedulerEdge, MaxIICeilingFails) {
 TEST(ModuloSchedulerEdge, PlayDohAlternativesAllUsed) {
   // Four-way alternatives: a loop with four independent integer adds at
   // II=2 must spread over both integer units and both write ports.
-  MachineModel PD = makePlayDoh();
+  MachineModel PD = loadMachine("playdoh").take();
   ExpandedMachine EM = expandAlternatives(PD.MD);
   DepGraph G("fouradds");
   OpId IAdd = PD.MD.findOperation("iadd");
@@ -109,7 +109,7 @@ TEST(ModuloSchedulerEdge, PlayDohAlternativesAllUsed) {
 }
 
 TEST(ModuloSchedulerEdge, DeterministicAcrossRuns) {
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   DepGraph G = bind(livermoreKernels()[0], Cydra);
   ModuloScheduleResult A =
@@ -125,7 +125,7 @@ TEST(ModuloSchedulerEdge, DeterministicAcrossRuns) {
 TEST(ListSchedulerEdge, IndependentOpsPackToWidth) {
   // Two independent ALU ops on the 2-slot toy VLIW issue the same cycle
   // (different slots); a third waits for the shared writeback bus.
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G("indep");
   OpId Alu = Toy.MD.findOperation("alu");
@@ -161,7 +161,7 @@ TEST(ListSchedulerEdge, EmptyTableOpsStack) {
 }
 
 TEST(ModuloSchedulerEdge, PriorityVariantsProduceValidSchedules) {
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   for (SchedulePriority Priority :
        {SchedulePriority::Height, SchedulePriority::Depth,
@@ -198,7 +198,7 @@ TEST(WorkCountersEdge, AccumulateAndTotals) {
 }
 
 TEST(QueryDeath, AssignFreeOnModuloSelfConflictAborts) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   OpId B = MD.findOperation("B");
   DiscreteQueryModule Q(MD, QueryConfig::modulo(2)); // B self-conflicts
   std::vector<InstanceId> Evicted;

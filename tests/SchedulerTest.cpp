@@ -1,6 +1,6 @@
 //===- tests/SchedulerTest.cpp - DepGraph, MII, list & modulo scheduling --===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/Reduction.h"
@@ -99,7 +99,7 @@ TEST(MII, RecurrenceBound) {
 }
 
 TEST(MII, ResourceBound) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   DepGraph G("loads");
   OpId Load = Toy.MD.findOperation("load");
   for (int I = 0; I < 4; ++I)
@@ -116,7 +116,7 @@ TEST(MII, ResourceBound) {
 }
 
 TEST(ListScheduler, ChainOnToyVliw) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
 
   DepGraph G("chain");
@@ -140,7 +140,7 @@ TEST(ListScheduler, ChainOnToyVliw) {
 TEST(ListScheduler, BoundaryConditionsDelaySchedule) {
   // A multiply dangling from the predecessor block occupies the multiplier
   // through cycle 1; a new mul cannot start before the unit frees up.
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   OpId Mul = Toy.MD.findOperation("mul");
   OpId FlatMul = EM.Groups[Mul][0];
@@ -168,8 +168,8 @@ TEST(ListScheduler, IdenticalSchedulesOriginalVsReduced) {
   // The paper's 1327-loop validation, in miniature: list scheduling against
   // the reduced description must reproduce the original's schedules
   // exactly.
-  for (const MachineModel &M :
-       {makeToyVliw(), makeMipsR3000(), makeCydra5()}) {
+  for (const char *Name : {"toy-vliw", "mips-r3000", "cydra5"}) {
+    MachineModel M = loadMachine(Name).take();
     ExpandedMachine EM = expandAlternatives(M.MD);
     MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 
@@ -199,7 +199,7 @@ TEST(ListScheduler, IdenticalSchedulesOriginalVsReduced) {
 }
 
 TEST(ModuloScheduler, InnerProductOnCydra) {
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   DepGraph G = bind(livermoreKernels()[1], Cydra); // inner_product
 
@@ -215,7 +215,7 @@ TEST(ModuloScheduler, InnerProductOnCydra) {
 TEST(ModuloScheduler, AchievesMIIOnParallelLoops) {
   // first_diff is fully parallel. On the single-memory-pipe toy VLIW the
   // resource bound is exact and the IMS must land on MII.
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EMToy = expandAlternatives(Toy.MD);
   DepGraph GToy = bind(livermoreKernels()[5], Toy);
   ModuloScheduleResult RToy =
@@ -227,7 +227,7 @@ TEST(ModuloScheduler, AchievesMIIOnParallelLoops) {
   // On the Cydra the fractional two-port ResMII can be off by one (3
   // memory ops on 2 ports cannot pack into 3 cycles), so only closeness is
   // required.
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   DepGraph G = bind(livermoreKernels()[5], Cydra);
   ModuloScheduleResult R =
@@ -238,9 +238,9 @@ TEST(ModuloScheduler, AchievesMIIOnParallelLoops) {
 }
 
 TEST(ModuloScheduler, AllKernelsScheduleOnAllMachines) {
-  for (const MachineModel &M :
-       {makeCydra5(), makeAlpha21064(), makeMipsR3000(), makeToyVliw(),
-        makePlayDoh()}) {
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000", "toy-vliw",
+                           "playdoh"}) {
+    MachineModel M = loadMachine(Name).take();
     ExpandedMachine EM = expandAlternatives(M.MD);
     for (const RoleGraph &K : livermoreKernels()) {
       DepGraph G = bind(K, M);
@@ -258,7 +258,7 @@ TEST(ModuloScheduler, SameIIAcrossRepresentationsAndDescriptions) {
   // Identical query answers => identical scheduling traces. Run the same
   // kernels against original/reduced x discrete/bitvector and require the
   // same II and the same schedule.
-  MachineModel Mips = makeMipsR3000();
+  MachineModel Mips = loadMachine("mips-r3000").take();
   ExpandedMachine EM = expandAlternatives(Mips.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 
@@ -294,7 +294,7 @@ TEST(ModuloScheduler, SameIIAcrossRepresentationsAndDescriptions) {
 TEST(ModuloScheduler, BudgetForcesHigherII) {
   // With a tiny budget, hard loops take more attempts (and sometimes a
   // larger II) but must still schedule.
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   DepGraph G = bind(replicate(livermoreKernels()[0], 6), Cydra);
 
@@ -312,7 +312,7 @@ TEST(ModuloScheduler, BudgetForcesHigherII) {
 }
 
 TEST(ModuloScheduler, ChecksPerDecisionRecorded) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   ExpandedMachine EM = expandAlternatives(Toy.MD);
   DepGraph G = bind(livermoreKernels()[6], Toy); // daxpy
   ModuloScheduleResult R =

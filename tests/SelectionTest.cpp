@@ -1,6 +1,6 @@
 //===- tests/SelectionTest.cpp - Selection heuristic unit tests -----------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "reduce/GeneratingSet.h"
 #include "reduce/Metrics.h"
 #include "reduce/Reduction.h"
@@ -47,7 +47,7 @@ void expectCovered(const PreparedMachine &P, const SelectionResult &Sel) {
 } // namespace
 
 TEST(Selection, Figure1ResUses) {
-  PreparedMachine P = prepare(makeFig1Machine());
+  PreparedMachine P = prepare(loadMachine("fig1").take().MD);
   SelectionResult Sel =
       selectCover(P.FLM, P.Pruned, SelectionObjective::resUses());
   expectCovered(P, Sel);
@@ -59,7 +59,7 @@ TEST(Selection, Figure1ResUses) {
 }
 
 TEST(Selection, Figure1ReducedDescription) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   PreparedMachine P = prepare(MD);
   SelectionResult Sel =
       selectCover(P.FLM, P.Pruned, SelectionObjective::resUses());
@@ -75,7 +75,7 @@ TEST(Selection, Figure1ReducedDescription) {
 }
 
 TEST(Selection, SelectionIsSubsetOfPruned) {
-  PreparedMachine P = prepare(makeMipsR3000().MD);
+  PreparedMachine P = prepare(loadMachine("mips-r3000").take().MD);
   SelectionResult Sel =
       selectCover(P.FLM, P.Pruned, SelectionObjective::resUses());
   ASSERT_EQ(Sel.SelectedUsages.size(), P.Pruned.size());
@@ -88,9 +88,9 @@ TEST(Selection, WordObjectiveNeverWorseOnWords) {
   // For every machine, the end-to-end k-cycle-word reduction must give
   // average word usage <= the res-uses reduction measured at the same k
   // (reduceMachine keeps the better of the two covers, Tables 1-4 shape).
-  for (const MachineModel &M :
-       {makeCydra5(), makeAlpha21064(), makeMipsR3000(), makeToyVliw(),
-        makePlayDoh()}) {
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000", "toy-vliw",
+                           "playdoh"}) {
+    MachineModel M = loadMachine(Name).take();
     MachineDescription Flat = expandAlternatives(M.MD).Flat;
     ReductionResult Res = reduceMachine(Flat);
     unsigned K = cyclesPerWord(Res.Reduced.numResources(), 64);
@@ -109,7 +109,7 @@ TEST(Selection, WordObjectiveNeverWorseOnWords) {
 TEST(Selection, WordUsesGrowWithK) {
   // Tables 1-4 show res usages increasing monotonically with k while word
   // usages shrink; verify the direction on the Cydra 5.
-  PreparedMachine P = prepare(makeCydra5().MD);
+  PreparedMachine P = prepare(loadMachine("cydra5").take().MD);
   size_t PrevUsages = 0;
   for (unsigned K : {1u, 2u, 4u}) {
     SelectionResult Sel =
@@ -152,7 +152,7 @@ TEST(Metrics, CyclesPerWord) {
 }
 
 TEST(Metrics, Averages) {
-  MachineDescription MD = makeFig1Machine();
+  MachineDescription MD = loadMachine("fig1").take().MD;
   // A has 3 usages, B has 8: average 5.5.
   EXPECT_DOUBLE_EQ(averageResUsesPerOperation(MD), 5.5);
   EXPECT_EQ(stateBitsPerCycle(MD), 5u);

@@ -15,7 +15,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/QueryModule.h"
 #include "reduce/Reduction.h"
 #include "reduce/ReductionCache.h"
@@ -154,8 +154,7 @@ void runTenant(const std::string &Socket, const std::string &MachineName,
   Out.Ok = true;
 }
 
-void runDifferential(const std::string &MachineName,
-                     const MachineModel &Model, const QueryConfig &Config,
+void runDifferential(const std::string &MachineName, const QueryConfig &Config,
                      size_t NumClients, size_t Batches, size_t BatchLen) {
   ServerOptions Options;
   Options.SocketPath = uniqueSocket("conc");
@@ -164,7 +163,8 @@ void runDifferential(const std::string &MachineName,
       RmdServer::start(std::move(Options));
   ASSERT_TRUE(bool(Server)) << Server.status().render();
 
-  MachineDescription Reduced = reducedFor(Model);
+  MachineDescription Reduced =
+      reducedFor(loadMachine(MachineName).take());
   std::vector<ClientOutcome> Outcomes(NumClients);
   std::vector<std::thread> Threads;
   for (size_t I = 0; I < NumClients; ++I)
@@ -182,29 +182,29 @@ void runDifferential(const std::string &MachineName,
 }
 
 TEST(ServerConcurrency, SingleClientLinearMatchesLocal) {
-  runDifferential("cydra5", makeCydra5(), QueryConfig::linear(0),
+  runDifferential("cydra5", QueryConfig::linear(0),
                   /*NumClients=*/1, /*Batches=*/16, /*BatchLen=*/256);
 }
 
 TEST(ServerConcurrency, FourClientsLinearMatchLocal) {
-  runDifferential("cydra5", makeCydra5(), QueryConfig::linear(0),
+  runDifferential("cydra5", QueryConfig::linear(0),
                   /*NumClients=*/4, /*Batches=*/12, /*BatchLen=*/192);
 }
 
 TEST(ServerConcurrency, SixteenClientsLinearMatchLocal) {
-  runDifferential("cydra5", makeCydra5(), QueryConfig::linear(0),
+  runDifferential("cydra5", QueryConfig::linear(0),
                   /*NumClients=*/16, /*Batches=*/6, /*BatchLen=*/128);
 }
 
 TEST(ServerConcurrency, FourClientsModuloSharedArenaMatchLocal) {
   // All four sessions share one modulo pattern arena (same machine, same
   // II): the strongest aliasing case for the arena refactor.
-  runDifferential("cydra5", makeCydra5(), QueryConfig::modulo(8),
+  runDifferential("cydra5", QueryConfig::modulo(8),
                   /*NumClients=*/4, /*Batches=*/12, /*BatchLen=*/192);
 }
 
 TEST(ServerConcurrency, SixteenClientsModuloMatchLocal) {
-  runDifferential("mips-r3000", makeMipsR3000(), QueryConfig::modulo(6),
+  runDifferential("mips-r3000", QueryConfig::modulo(6),
                   /*NumClients=*/16, /*Batches=*/6, /*BatchLen=*/128);
 }
 
@@ -218,7 +218,7 @@ TEST(ServerConcurrency, MixedConfigsShareOneMachine) {
       RmdServer::start(std::move(Options));
   ASSERT_TRUE(bool(Server)) << Server.status().render();
 
-  MachineModel Model = makeCydra5();
+  MachineModel Model = loadMachine("cydra5").take();
   MachineDescription Reduced = reducedFor(Model);
   QueryConfig Linear = QueryConfig::linear(0);
   QueryConfig Modulo = QueryConfig::modulo(11);

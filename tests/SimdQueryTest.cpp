@@ -19,7 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "query/SimdOps.h"
@@ -247,13 +247,8 @@ namespace {
 /// The seven machine models of the corpus.
 std::vector<std::pair<std::string, MachineDescription>> allCorpusMachines() {
   std::vector<std::pair<std::string, MachineDescription>> Models;
-  Models.emplace_back("fig1", makeFig1Machine());
-  Models.emplace_back("cydra5", makeCydra5().MD);
-  Models.emplace_back("alpha21064", makeAlpha21064().MD);
-  Models.emplace_back("mips-r3000", makeMipsR3000().MD);
-  Models.emplace_back("toy-vliw", makeToyVliw().MD);
-  Models.emplace_back("playdoh", makePlayDoh().MD);
-  Models.emplace_back("m88100", makeM88100().MD);
+  for (const std::string &Name : machineNames())
+    Models.emplace_back(Name, loadMachine(Name).take().MD);
   return Models;
 }
 
@@ -428,12 +423,9 @@ namespace {
 
 std::vector<MachineModel> allSchedulableModels() {
   std::vector<MachineModel> Models;
-  Models.push_back(makeCydra5());
-  Models.push_back(makeAlpha21064());
-  Models.push_back(makeMipsR3000());
-  Models.push_back(makeToyVliw());
-  Models.push_back(makePlayDoh());
-  Models.push_back(makeM88100());
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000", "toy-vliw",
+                           "playdoh", "m88100"})
+    Models.push_back(loadMachine(Name).take());
   return Models;
 }
 

@@ -9,33 +9,20 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MdlModel.h"
+#include "machines/Catalog.h"
 #include "reduce/Reduction.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 
 using namespace rmd;
 
-#ifndef RMD_SOURCE_DIR
-#define RMD_SOURCE_DIR "."
-#endif
-
 namespace {
 
 MachineDescription loadToyVliwFlat() {
-  std::string Path = std::string(RMD_SOURCE_DIR) + "/machines/toyvliw.mdl";
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "missing " << Path;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  DiagnosticEngine Diags;
-  std::optional<MachineModel> Model = parseMdlModel(SS.str(), Diags);
-  EXPECT_TRUE(Model.has_value() && !Diags.hasErrors()) << Path;
-  return expandAlternatives(Model->MD).Flat;
+  return expandAlternatives(loadMachine("toy-vliw").take().MD).Flat;
 }
 
 /// One full checked reduction at \p Threads against a freshly reset

@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "machines/MachineModel.h"
+#include "machines/Catalog.h"
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "support/RNG.h"
@@ -34,11 +34,11 @@ struct Placement {
 MachineDescription machineFor(int Idx) {
   switch (Idx) {
   case 0:
-    return makeToyVliw().MD;
+    return loadMachine("toy-vliw").take().MD;
   case 1:
-    return makeMipsR3000().MD;
+    return loadMachine("mips-r3000").take().MD;
   default:
-    return makeCydra5().MD;
+    return loadMachine("cydra5").take().MD;
   }
 }
 

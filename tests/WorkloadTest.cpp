@@ -1,5 +1,6 @@
 //===- tests/WorkloadTest.cpp - Kernels, generator, corpus, experiment ----===//
 
+#include "machines/Catalog.h"
 #include "workload/Experiment.h"
 
 #include "reduce/Reduction.h"
@@ -12,7 +13,7 @@
 using namespace rmd;
 
 TEST(RoleGraphBinding, ResolvesRolesWithFallback) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   // Toy VLIW has no FloatAdd: FloatAdd falls back to IntAlu ("alu").
   EXPECT_EQ(Toy.MD.operation(resolveRole(Toy, OpRole::FloatAdd)).Name,
             "alu");
@@ -21,13 +22,13 @@ TEST(RoleGraphBinding, ResolvesRolesWithFallback) {
   // FloatDiv -> FloatMul on the toy.
   EXPECT_EQ(Toy.MD.operation(resolveRole(Toy, OpRole::FloatDiv)).Name,
             "mul");
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   EXPECT_EQ(Cydra.MD.operation(resolveRole(Cydra, OpRole::FloatDiv)).Name,
             "fdiv.s");
 }
 
 TEST(RoleGraphBinding, DelaysComeFromProducerLatency) {
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   RoleGraph RG;
   RG.Name = "t";
   uint32_t L = RG.addNode(OpRole::Load);
@@ -43,9 +44,9 @@ TEST(RoleGraphBinding, DelaysComeFromProducerLatency) {
 }
 
 TEST(Kernels, AllBindToAllMachines) {
-  for (const MachineModel &M :
-       {makeCydra5(), makeAlpha21064(), makeMipsR3000(), makeToyVliw(),
-        makePlayDoh()}) {
+  for (const char *Name : {"cydra5", "alpha21064", "mips-r3000", "toy-vliw",
+                           "playdoh"}) {
+    MachineModel M = loadMachine(Name).take();
     for (const RoleGraph &K : livermoreKernels()) {
       DepGraph G = bind(K, M);
       EXPECT_EQ(G.numNodes(), K.Nodes.size());
@@ -109,7 +110,7 @@ TEST(LoopGenerator, SizesWithinBoundsAndDeterministic) {
 }
 
 TEST(LoopGenerator, GraphsAreValidLoopBodies) {
-  MachineModel Mips = makeMipsR3000();
+  MachineModel Mips = loadMachine("mips-r3000").take();
   RNG R(17);
   for (int I = 0; I < 200; ++I) {
     DepGraph G = bind(generateLoop(R), Mips);
@@ -125,7 +126,7 @@ TEST(LoopGenerator, GraphsAreValidLoopBodies) {
 }
 
 TEST(Corpus, DeterministicAndSized) {
-  MachineModel Toy = makeToyVliw();
+  MachineModel Toy = loadMachine("toy-vliw").take();
   CorpusParams P;
   P.LoopCount = 60;
   std::vector<DepGraph> A = buildCorpus(Toy, P);
@@ -146,7 +147,7 @@ TEST(Corpus, DeterministicAndSized) {
 }
 
 TEST(Experiment, SmokeRunOnMips) {
-  MachineModel Mips = makeMipsR3000();
+  MachineModel Mips = loadMachine("mips-r3000").take();
   ExpandedMachine EM = expandAlternatives(Mips.MD);
 
   CorpusParams P;
@@ -174,7 +175,7 @@ TEST(Experiment, SmokeRunOnMips) {
 TEST(Experiment, WorkUnitsShrinkWithReduction) {
   // The headline of Table 6 in miniature: same corpus, same scheduler,
   // reduced description does fewer work units per call than the original.
-  MachineModel Cydra = makeCydra5();
+  MachineModel Cydra = loadMachine("cydra5").take();
   ExpandedMachine EM = expandAlternatives(Cydra.MD);
   MachineDescription Reduced = reduceMachine(EM.Flat).Reduced;
 
