@@ -115,8 +115,8 @@ public:
   }
 
   /// The immutable per-op pattern arena backing this module. Modules built
-  /// through the two-argument constructor own a private arena; the server
-  /// hands many modules one shared arena through the three-argument form.
+  /// through the two-argument constructor own a private arena; modules made
+  /// through a PatternArenaCache share one through the three-argument form.
   const std::shared_ptr<const BitvectorPatternArena> &arena() const {
     return Arena;
   }

@@ -5,6 +5,7 @@
 #include "query/DiscreteQuery.h" // hasModuloSelfConflict
 #include "reduce/Metrics.h"      // cyclesPerWord
 #include "support/FatalError.h"
+#include "support/Stats.h"
 
 #include <algorithm>
 #include <cassert>
@@ -159,4 +160,19 @@ rmd::buildBitvectorPatternArena(const MachineDescription &MD,
   }
 
   return Arena;
+}
+
+std::shared_ptr<const BitvectorPatternArena>
+PatternArenaCache::get(const QueryConfig &Config) const {
+  static StatCounter Hits("query.arena.hits"), Builds("query.arena.builds");
+  Key K{static_cast<int>(Config.Mode),
+        Config.Mode == QueryConfig::Modulo ? Config.ModuloII : 0,
+        Config.WordBits, Config.CyclesPerWordOverride};
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Arenas.find(K);
+  bool Hit = It != Arenas.end();
+  (Hit ? Hits : Builds).add();
+  if (!Hit)
+    It = Arenas.emplace(K, buildBitvectorPatternArena(MD, Config)).first;
+  return It->second;
 }

@@ -4,9 +4,9 @@
 /// The packed bitvector pattern arena of query/BitvectorQuery.h, split out
 /// as a standalone immutable artifact so it can be built once per
 /// (machine description, addressing configuration) and shared read-only
-/// across any number of BitvectorQueryModule instances — the contention
-/// server's sessions in particular, but also any client that builds many
-/// modules over one description (replay harnesses, thread sweeps).
+/// across any number of BitvectorQueryModule instances: PatternArenaCache
+/// serves the scheduler's module factory (a module per II attempt) and the
+/// contention server (a module per session).
 ///
 /// The arena is strictly const after construction: every field a query hot
 /// loop reads (pattern refs, mask words, prefix counts, the uniform-row
@@ -27,7 +27,10 @@
 #include "query/QueryModule.h"
 #include "query/SimdOps.h"
 
+#include <map>
 #include <memory>
+#include <mutex>
+#include <tuple>
 #include <vector>
 
 namespace rmd {
@@ -122,6 +125,25 @@ struct BitvectorPatternArena {
 /// the consumer.
 std::shared_ptr<const BitvectorPatternArena>
 buildBitvectorPatternArena(const MachineDescription &MD, QueryConfig Config);
+
+/// The arenas of one description (which must outlive the cache), each
+/// built under the lock on its first request and shared from then on. The
+/// key holds every config field compatibleWith() reads. Publishes
+/// query.arena.hits / query.arena.builds.
+class PatternArenaCache {
+public:
+  explicit PatternArenaCache(const MachineDescription &MD) : MD(MD) {}
+
+  std::shared_ptr<const BitvectorPatternArena>
+  get(const QueryConfig &Config) const;
+
+private:
+  using Key = std::tuple<int, int, unsigned, unsigned>;
+
+  const MachineDescription &MD;
+  mutable std::mutex Mutex;
+  mutable std::map<Key, std::shared_ptr<const BitvectorPatternArena>> Arenas;
+};
 
 /// Appends \p Scratch's span [MinWord, MaxWord] to \p MaskPool/\p PrefixPool
 /// and returns its ref; resets the touched Scratch words to zero. Shared by

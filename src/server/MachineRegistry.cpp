@@ -6,7 +6,6 @@
 #include "query/BitvectorQuery.h"
 #include "query/DiscreteQuery.h"
 #include "reduce/ReductionCache.h"
-#include "support/Stats.h"
 
 using namespace rmd;
 using namespace rmd::server;
@@ -24,30 +23,11 @@ LoadedMachine::LoadedMachine(std::string TheName, MachineModel TheModel)
   UseBitvector = Reduced.numResources() <= QueryConfig().WordBits;
 }
 
-std::shared_ptr<const BitvectorPatternArena>
-LoadedMachine::arenaFor(const QueryConfig &Config) const {
-  ArenaKey Key{static_cast<int>(Config.Mode),
-               Config.Mode == QueryConfig::Modulo ? Config.ModuloII : 0,
-               Config.CyclesPerWordOverride};
-  std::lock_guard<std::mutex> Lock(ArenaMutex);
-  auto It = Arenas.find(Key);
-  if (It != Arenas.end()) {
-    static StatCounter ArenaHits("server.arena.hits");
-    ArenaHits.add();
-    return It->second;
-  }
-  static StatCounter ArenaBuilds("server.arena.builds");
-  ArenaBuilds.add();
-  auto Arena = buildBitvectorPatternArena(Reduced, Config);
-  Arenas.emplace(Key, Arena);
-  return Arena;
-}
-
 std::unique_ptr<ContentionQueryModule>
 LoadedMachine::makeModule(const QueryConfig &Config) const {
   if (UseBitvector)
     return std::make_unique<BitvectorQueryModule>(Reduced, Config,
-                                                  arenaFor(Config));
+                                                  Arenas.get(Config));
   return std::make_unique<DiscreteQueryModule>(Reduced, Config);
 }
 

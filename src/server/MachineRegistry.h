@@ -8,8 +8,7 @@
 /// Everything a session needs afterwards is read-only: the reduced
 /// description, the alternative grouping, and per-configuration bitvector
 /// pattern arenas built on first use and shared by every session over the
-/// same (machine, addressing config) — the arena-sharing refactor in
-/// query/PatternArena.h exists for exactly this.
+/// same (machine, addressing config) through one PatternArenaCache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +30,8 @@
 namespace rmd {
 namespace server {
 
-/// One loaded machine; immutable after load (the arena cache behind
-/// arenaFor() is internally synchronized and append-only).
+/// One loaded machine; immutable after load (its arena cache is internally
+/// synchronized and append-only).
 class LoadedMachine {
 public:
   LoadedMachine(std::string Name, MachineModel Model);
@@ -51,14 +50,9 @@ public:
   /// description fits a 64-bit word); otherwise they run discrete.
   bool usesBitvector() const { return UseBitvector; }
 
-  /// The shared pattern arena for \p Config (bitvector machines only);
-  /// built on first request, then reused by every later session with the
-  /// same addressing parameters.
-  std::shared_ptr<const BitvectorPatternArena>
-  arenaFor(const QueryConfig &Config) const;
-
   /// A fresh query module over the reduced description — bitvector with
-  /// the shared arena when the machine fits a word, discrete otherwise.
+  /// the shared arena for \p Config when the machine fits a word, discrete
+  /// otherwise.
   std::unique_ptr<ContentionQueryModule>
   makeModule(const QueryConfig &Config) const;
 
@@ -72,22 +66,7 @@ private:
   bool Degraded = false;
   Status Why;
   bool UseBitvector = false;
-
-  struct ArenaKey {
-    int Mode;
-    int ModuloII;
-    unsigned CyclesPerWordOverride;
-    bool operator<(const ArenaKey &O) const {
-      if (Mode != O.Mode)
-        return Mode < O.Mode;
-      if (ModuloII != O.ModuloII)
-        return ModuloII < O.ModuloII;
-      return CyclesPerWordOverride < O.CyclesPerWordOverride;
-    }
-  };
-  mutable std::mutex ArenaMutex;
-  mutable std::map<ArenaKey, std::shared_ptr<const BitvectorPatternArena>>
-      Arenas;
+  PatternArenaCache Arenas{Reduced};
 };
 
 /// Name-keyed store of LoadedMachines. load() is idempotent per name and

@@ -278,7 +278,7 @@ void writeJsonString(std::ostream &OS, std::string_view S) {
 
 void StatsSnapshot::writeJson(std::ostream &OS,
                               const JsonOptions &Options) const {
-  OS << "{\n  \"schema\": \"rmd-stats-v1\"";
+  OS << "{\n  \"schema\": \"rmd-stats-v2\"";
   if (!Options.Tool.empty()) {
     OS << ",\n  \"tool\": ";
     writeJsonString(OS, Options.Tool);

@@ -86,7 +86,7 @@ struct StatsSnapshot {
   };
 
   /// Renders the snapshot as the versioned JSON document described in
-  /// docs/observability.md ("schema": "rmd-stats-v1"). Keys are sorted,
+  /// docs/observability.md ("schema": "rmd-stats-v2"). Keys are sorted,
   /// output is fully deterministic given the snapshot contents (and, with
   /// IncludeTimings off, given the workload).
   void writeJson(std::ostream &OS, const JsonOptions &Options) const;

@@ -17,12 +17,14 @@ rmd::makeModuleFactory(const RepresentationSpec &Spec) {
   unsigned WordBits = Spec.WordBits;
   unsigned ForcedK = Spec.CyclesPerWord;
   bool Union = Spec.UnionAlternativeCheck;
-  return [MD, WordBits, ForcedK, Union](
+  auto Arenas = std::make_shared<PatternArenaCache>(*MD);
+  return [MD, Arenas, WordBits, ForcedK, Union](
              QueryConfig Config) -> std::unique_ptr<ContentionQueryModule> {
     Config.WordBits = WordBits;
     Config.CyclesPerWordOverride = ForcedK;
     Config.UnionAlternativeCheck = Union;
-    return std::make_unique<BitvectorQueryModule>(*MD, Config);
+    return std::make_unique<BitvectorQueryModule>(*MD, Config,
+                                                  Arenas->get(Config));
   };
 }
 

@@ -82,7 +82,8 @@ runSchedulerExperiment(const MachineModel &Model,
                        const std::vector<DepGraph> &Corpus,
                        const ModuloScheduleOptions &Options = {});
 
-/// Builds the module factory for \p Spec (exposed for tests and examples).
+/// Builds the module factory for \p Spec (exposed for tests and examples). A
+/// bitvector factory and its copies share one PatternArenaCache.
 std::function<std::unique_ptr<ContentionQueryModule>(QueryConfig)>
 makeModuleFactory(const RepresentationSpec &Spec);
 

@@ -22,6 +22,7 @@
 #include "server/Client.h"
 #include "server/Server.h"
 #include "server/Workload.h"
+#include "support/Stats.h"
 
 #include "gtest/gtest.h"
 
@@ -235,6 +236,48 @@ TEST(ServerConcurrency, MixedConfigsShareOneMachine) {
     T.join();
   for (size_t I = 0; I < 8; ++I)
     EXPECT_TRUE(Outcomes[I].Ok) << "client " << I << ": " << Outcomes[I].What;
+  EXPECT_EQ(Server.value()->sessionCount(), 0u);
+}
+
+TEST(ServerConcurrency, ConcurrentModuloSessionsBuildEachArenaOnce) {
+  // Four clients open modulo sessions at eight IIs at once, each walking
+  // the IIs from a different start: the registry's arena cache must build
+  // each II's arena exactly once and share it with the other clients.
+  ServerOptions Options;
+  Options.SocketPath = uniqueSocket("arenas");
+  Options.Workers = 4;
+  Expected<std::unique_ptr<RmdServer>> Server =
+      RmdServer::start(std::move(Options));
+  ASSERT_TRUE(bool(Server)) << Server.status().render();
+
+  auto arenaBuilds = [] {
+    StatsSnapshot Snap = StatsRegistry::instance().snapshot();
+    auto It = Snap.Counters.find("query.arena.builds");
+    return It == Snap.Counters.end() ? uint64_t(0) : It->second;
+  };
+  MachineDescription Reduced = reducedFor(loadMachine("cydra5").take());
+  std::vector<QueryConfig> Configs;
+  for (int II = 8; II < 16; ++II)
+    Configs.push_back(QueryConfig::modulo(II));
+  constexpr size_t NumClients = 4;
+  uint64_t Builds0 = arenaBuilds();
+
+  std::vector<ClientOutcome> Outcomes(NumClients * Configs.size());
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < NumClients; ++T)
+    Threads.emplace_back([&, T] {
+      for (size_t J = 0; J < Configs.size(); ++J) {
+        size_t I = (2 * T + J) % Configs.size();
+        runTenant(Server.value()->socketPath(), "cydra5", Reduced, Configs[I],
+                  /*Seed=*/0xa7e000 + T * Configs.size() + I, /*Batches=*/4,
+                  /*BatchLen=*/96, Outcomes[T * Configs.size() + J]);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t I = 0; I < Outcomes.size(); ++I)
+    EXPECT_TRUE(Outcomes[I].Ok) << "session " << I << ": " << Outcomes[I].What;
+  EXPECT_EQ(arenaBuilds() - Builds0, Configs.size());
   EXPECT_EQ(Server.value()->sessionCount(), 0u);
 }
 

@@ -1,7 +1,7 @@
 //===- tests/StatsSnapshotTest.cpp - Golden stats-JSON schema tests -------===//
 //
 // Pins the observability contract of docs/observability.md: the snapshot
-// JSON is versioned ("rmd-stats-v1"), carries a stable key set for a fixed
+// JSON is versioned ("rmd-stats-v2"), carries a stable key set for a fixed
 // workload, and — with wall-clock fields excluded — is byte-identical no
 // matter how many threads the reduction pipeline used. The pipeline is
 // bit-exact at every thread count (ParallelReductionTest), and this suite
@@ -50,7 +50,7 @@ TEST(StatsSnapshot, SchemaVersionAndKeySet) {
   MachineDescription Flat = loadToyVliwFlat();
   std::string Json = snapshotJsonAtThreads(Flat, 1);
 
-  EXPECT_NE(Json.find("\"schema\": \"rmd-stats-v1\""), std::string::npos);
+  EXPECT_NE(Json.find("\"schema\": \"rmd-stats-v2\""), std::string::npos);
   EXPECT_NE(Json.find("\"tool\": \"StatsSnapshotTest\""), std::string::npos);
 
   // The metric catalog of docs/observability.md: every phase of the
