@@ -114,9 +114,17 @@ void Lexer::advance() {
     long Value = 0;
     std::string Text;
     while (std::isdigit(static_cast<unsigned char>(cur()))) {
-      Value = Value * 10 + (cur() - '0');
+      // Stop accumulating once past the limit, so no digit run overflows.
+      if (Value <= MaxIntegerLiteral)
+        Value = Value * 10 + (cur() - '0');
       Text += cur();
       bump();
+    }
+    if (Value > MaxIntegerLiteral) {
+      Diags.error(Current.Loc, "integer literal out of range (the limit is " +
+                                   std::to_string(MaxIntegerLiteral) + ")");
+      Current.Kind = TokenKind::Error;
+      return;
     }
     Current.Kind = TokenKind::Integer;
     Current.Value = Value;

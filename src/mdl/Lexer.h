@@ -30,6 +30,15 @@
 
 namespace rmd {
 
+/// The largest integer literal the lexer accepts; a larger one is a
+/// diagnosed Error token. Integers only denote cycle numbers and latencies
+/// (MDL) and dependence delays and distances (loop graphs), so this one
+/// bound covers all of them. It keeps every such value a small int and a
+/// reservation-table range small enough to expand; sums and products that
+/// grow with the graph (II * Distance, the RecMII search bound) are formed
+/// in 64 bits by the schedulers.
+inline constexpr long MaxIntegerLiteral = 4095;
+
 /// Token kinds of the MDL.
 enum class TokenKind {
   Identifier, ///< names; also carries keywords (resolved by the parser)

@@ -9,6 +9,7 @@
 #include "verify/QueryTrace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <optional>
 
@@ -16,69 +17,100 @@ using namespace rmd;
 
 namespace {
 
-/// Per-attempt scheduling state.
+/// Scheduling state of one II attempt, reset at its start; the buffers
+/// keep their capacity from attempt to attempt.
 struct AttemptState {
-  std::vector<bool> Scheduled;
   std::vector<bool> EverScheduled;
   std::vector<int> Time;
   std::vector<int> Alternative;
   std::vector<int> PrevTime;
   std::vector<uint32_t> ForcedCount;
+
+  /// Priority per node; larger schedules earlier.
+  std::vector<long long> Priority;
+  /// Node ids by (priority descending, id ascending), and each node's
+  /// position in that order.
+  std::vector<NodeId> Order;
+  std::vector<uint32_t> Rank;
+  /// Bit r set iff node Order[r] is unscheduled, so the next operation to
+  /// place is the lowest set bit.
+  std::vector<uint64_t> Unscheduled;
+
+  /// II feasibility per distinct original op: FeasibleAt[op] indexes the
+  /// op's run of per-alternative flags in AltFeasible (-1: op not in G).
+  std::vector<int32_t> FeasibleAt;
+  std::vector<uint8_t> AltFeasible;
+
+  std::vector<InstanceId> Evicted;
+
+  bool scheduled(NodeId V) const {
+    uint32_t R = Rank[V];
+    return !((Unscheduled[R / 64] >> (R % 64)) & 1);
+  }
+  void markScheduled(NodeId V) {
+    Unscheduled[Rank[V] / 64] &= ~(uint64_t(1) << (Rank[V] % 64));
+  }
+  void markUnscheduled(NodeId V) {
+    Unscheduled[Rank[V] / 64] |= uint64_t(1) << (Rank[V] % 64);
+  }
+  /// The highest-priority unscheduled node; at least one must exist.
+  NodeId next() const {
+    size_t W = 0;
+    while (Unscheduled[W] == 0)
+      ++W;
+    return Order[W * 64 + static_cast<size_t>(
+                              std::countr_zero(Unscheduled[W]))];
+  }
 };
+
+/// The earliest cycle E's target may issue when E's source issues at
+/// \p FromTime. In 64 bits: II * Distance can leave int range on large
+/// inputs even with every literal bounded (mdl/Lexer.h).
+long long issueBound(const DepEdge &E, int FromTime, int II) {
+  return static_cast<long long>(FromTime) + E.Delay -
+         static_cast<long long>(II) * E.Distance;
+}
 
 /// Height-based priority at a given II: HeightR(v) = max over edges v->s of
 /// HeightR(s) + Delay - II*Distance, computed by relaxation (converges for
-/// II >= RecMII, where no positive cycle exists).
-std::vector<long long> computeHeights(const DepGraph &G, int II) {
-  std::vector<long long> Height(G.numNodes(), 0);
+/// II >= RecMII, where no positive cycle exists). Depth is the same
+/// relaxation forward, from the iteration start.
+void relaxLongestPaths(const DepGraph &G, int II, bool Forward,
+                       std::vector<long long> &Length) {
+  Length.assign(G.numNodes(), 0);
   for (size_t Pass = 0; Pass <= G.numNodes() + 1; ++Pass) {
     bool Changed = false;
     for (const DepEdge &E : G.edges()) {
+      NodeId Src = Forward ? E.From : E.To;
+      NodeId Dst = Forward ? E.To : E.From;
       long long Candidate =
-          Height[E.To] + E.Delay - static_cast<long long>(II) * E.Distance;
-      if (Candidate > Height[E.From]) {
-        Height[E.From] = Candidate;
+          Length[Src] + E.Delay - static_cast<long long>(II) * E.Distance;
+      if (Candidate > Length[Dst]) {
+        Length[Dst] = Candidate;
         Changed = true;
       }
     }
     if (!Changed)
       break;
   }
-  return Height;
 }
 
-/// The selected priority values; larger schedules earlier.
-std::vector<long long> computePriorities(const DepGraph &G, int II,
-                                         SchedulePriority Kind) {
+/// Fills \p Priority with the selected priority values.
+void computePriorities(const DepGraph &G, int II, SchedulePriority Kind,
+                       std::vector<long long> &Priority) {
   switch (Kind) {
   case SchedulePriority::Height:
-    return computeHeights(G, II);
-  case SchedulePriority::Depth: {
-    // Longest path from the iteration start (forward relaxation).
-    std::vector<long long> Depth(G.numNodes(), 0);
-    for (size_t Pass = 0; Pass <= G.numNodes() + 1; ++Pass) {
-      bool Changed = false;
-      for (const DepEdge &E : G.edges()) {
-        long long Candidate =
-            Depth[E.From] + E.Delay - static_cast<long long>(II) * E.Distance;
-        if (Candidate > Depth[E.To]) {
-          Depth[E.To] = Candidate;
-          Changed = true;
-        }
-      }
-      if (!Changed)
-        break;
-    }
-    return Depth;
-  }
-  case SchedulePriority::SourceOrder: {
-    std::vector<long long> Priority(G.numNodes());
+    relaxLongestPaths(G, II, /*Forward=*/false, Priority);
+    return;
+  case SchedulePriority::Depth:
+    relaxLongestPaths(G, II, /*Forward=*/true, Priority);
+    return;
+  case SchedulePriority::SourceOrder:
+    Priority.resize(G.numNodes());
     for (NodeId N = 0; N < G.numNodes(); ++N)
       Priority[N] = static_cast<long long>(G.numNodes() - N);
-    return Priority;
+    return;
   }
-  }
-  return std::vector<long long>(G.numNodes(), 0);
 }
 
 /// How one II attempt ended.
@@ -111,16 +143,19 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
 
   // Alternatives that collide with their own modulo copies at this II can
   // never be placed; if some node has no feasible alternative, the attempt
-  // fails immediately (the scheduler must raise the II).
-  std::vector<std::vector<uint8_t>> AltFeasible(N);
+  // fails immediately (the scheduler must raise the II). Decided once per
+  // distinct original op.
+  S.FeasibleAt.assign(Groups.size(), -1);
+  S.AltFeasible.clear();
   for (NodeId V = 0; V < N; ++V) {
+    OpId Op = G.opOf(V);
+    if (S.FeasibleAt[Op] >= 0)
+      continue;
+    S.FeasibleAt[Op] = static_cast<int32_t>(S.AltFeasible.size());
     bool Any = false;
-    const std::vector<OpId> &Alts = Groups[G.opOf(V)];
-    AltFeasible[V].resize(Alts.size());
-    for (size_t A = 0; A < Alts.size(); ++A) {
-      bool Ok =
-          !hasModuloSelfConflict(Flat.operation(Alts[A]).table(), II);
-      AltFeasible[V][A] = Ok;
+    for (OpId Alt : Groups[Op]) {
+      bool Ok = !hasModuloSelfConflict(Flat.operation(Alt).table(), II);
+      S.AltFeasible.push_back(Ok);
       Any |= Ok;
     }
     if (!Any)
@@ -140,9 +175,23 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
   ContentionQueryModule &Q =
       TraceLog ? static_cast<ContentionQueryModule &>(*Tracer) : *Module;
 
-  std::vector<long long> Height = computePriorities(G, II, Kind);
+  // Rank the nodes once: the next operation is always the unscheduled one
+  // of highest priority, ties going to the lowest id.
+  computePriorities(G, II, Kind, S.Priority);
+  S.Order.resize(N);
+  for (NodeId V = 0; V < N; ++V)
+    S.Order[V] = V;
+  std::sort(S.Order.begin(), S.Order.end(), [&](NodeId A, NodeId B) {
+    return S.Priority[A] != S.Priority[B] ? S.Priority[A] > S.Priority[B]
+                                          : A < B;
+  });
+  S.Rank.resize(N);
+  for (size_t R = 0; R < N; ++R)
+    S.Rank[S.Order[R]] = static_cast<uint32_t>(R);
+  S.Unscheduled.assign((N + 63) / 64, ~uint64_t(0));
+  if (N % 64)
+    S.Unscheduled.back() = (uint64_t(1) << (N % 64)) - 1;
 
-  S.Scheduled.assign(N, false);
   S.EverScheduled.assign(N, false);
   S.Time.assign(N, 0);
   S.Alternative.assign(N, -1);
@@ -161,7 +210,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
                     FaultInjection::fire(faultpoints::SchedDeadline);
     if (WantStop) {
       for (NodeId U = 0; U < N; ++U)
-        if (!S.Scheduled[U])
+        if (!S.scheduled(U))
           S.Alternative[U] = -1;
       Accum.accumulate(Module->counters());
       Interrupt = WantCancel ? ScheduleOutcome::Cancelled
@@ -174,21 +223,16 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
       return AttemptEnd::BudgetExhausted;
     }
 
-    // Highest-priority unscheduled operation (ties: lowest id).
-    NodeId V = static_cast<NodeId>(N);
-    for (NodeId U = 0; U < N; ++U)
-      if (!S.Scheduled[U] && (V == N || Height[U] > Height[V]))
-        V = U;
-    assert(V < N && "no unscheduled node despite NumScheduled < N");
+    NodeId V = S.next();
 
     // Earliest start from currently scheduled predecessors.
-    int Estart = 0;
+    long long Earliest = 0;
     for (uint32_t EIdx : G.predEdges(V)) {
       const DepEdge &E = G.edges()[EIdx];
-      if (E.From != V && S.Scheduled[E.From])
-        Estart = std::max(Estart,
-                          S.Time[E.From] + E.Delay - II * E.Distance);
+      if (E.From != V && S.scheduled(E.From))
+        Earliest = std::max(Earliest, issueBound(E, S.Time[E.From], II));
     }
+    int Estart = static_cast<int>(Earliest);
 
     const std::vector<OpId> &Alts = Groups[G.opOf(V)];
     uint64_t ChecksBefore = Module->counters().CheckCalls;
@@ -204,13 +248,13 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
       }
     }
 
+    S.Evicted.clear();
     if (Slot >= 0) {
       // The IMS schedules through assign&free even for conflict-free slots
       // (Section 8: the benchmark issues no plain assign calls); eviction
       // cannot happen here since check() just succeeded.
-      std::vector<InstanceId> Evicted;
-      Q.assignAndFree(Alts[Alt], Slot, static_cast<InstanceId>(V), Evicted);
-      assert(Evicted.empty() && "eviction on a checked-free slot");
+      Q.assignAndFree(Alts[Alt], Slot, static_cast<InstanceId>(V), S.Evicted);
+      assert(S.Evicted.empty() && "eviction on a checked-free slot");
     } else {
       // Forced placement (Rau): at Estart, or just past the previous
       // placement when re-scheduling at the same spot.
@@ -219,29 +263,30 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
                  : S.PrevTime[V] + 1;
       // Rotate through the II-feasible alternatives. Each draw advances the
       // rotation by one position, so Alts.size() draws cover every
-      // alternative exactly once — the up-front AltFeasible scan guarantees
+      // alternative exactly once — the up-front feasibility scan guarantees
       // a feasible one is among them. If that invariant ever breaks, raise
       // the II through the normal escalation path rather than silently
       // placing an infeasible alternative (the old assert-only guard
       // vanished in NDEBUG builds).
+      const uint8_t *Feasible = &S.AltFeasible[S.FeasibleAt[G.opOf(V)]];
       unsigned Tried = 0;
       do {
         Alt = static_cast<int>(S.ForcedCount[V]++ % Alts.size());
         ++Tried;
-      } while (!AltFeasible[V][Alt] && Tried < Alts.size());
-      if (!AltFeasible[V][Alt]) {
+      } while (!Feasible[Alt] && Tried < Alts.size());
+      if (!Feasible[Alt]) {
         Accum.accumulate(Module->counters());
         return AttemptEnd::BudgetExhausted;
       }
 
-      std::vector<InstanceId> Evicted;
-      Q.assignAndFree(Alts[Alt], Slot, static_cast<InstanceId>(V), Evicted);
-      if (!Evicted.empty())
+      Q.assignAndFree(Alts[Alt], Slot, static_cast<InstanceId>(V), S.Evicted);
+      if (!S.Evicted.empty())
         ++Stats.AssignFreeCallsWithEviction;
-      for (InstanceId Victim : Evicted) {
+      for (InstanceId Victim : S.Evicted) {
         assert(Victim >= 0 && static_cast<size_t>(Victim) < N &&
-               S.Scheduled[Victim] && "evicted an unknown instance");
-        S.Scheduled[Victim] = false;
+               S.scheduled(static_cast<NodeId>(Victim)) &&
+               "evicted an unknown instance");
+        S.markUnscheduled(static_cast<NodeId>(Victim));
         --NumScheduled;
         ++Stats.EvictedByResource;
         Stats.UsedAssignFreeEviction = true;
@@ -252,7 +297,7 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
     S.Alternative[V] = Alt;
     S.PrevTime[V] = Slot;
     S.EverScheduled[V] = true;
-    S.Scheduled[V] = true;
+    S.markScheduled(V);
     ++NumScheduled;
     ++DecisionsThisAttempt;
     Stats.ChecksPerDecision.push_back(static_cast<uint32_t>(
@@ -262,20 +307,20 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
     auto unschedule = [&](NodeId W) {
       Q.free(Groups[G.opOf(W)][S.Alternative[W]], S.Time[W],
              static_cast<InstanceId>(W));
-      S.Scheduled[W] = false;
+      S.markUnscheduled(W);
       --NumScheduled;
       ++Stats.EvictedByDependence;
     };
     for (uint32_t EIdx : G.succEdges(V)) {
       const DepEdge &E = G.edges()[EIdx];
-      if (E.To != V && S.Scheduled[E.To] &&
-          S.Time[E.To] < Slot + E.Delay - II * E.Distance)
+      if (E.To != V && S.scheduled(E.To) &&
+          S.Time[E.To] < issueBound(E, Slot, II))
         unschedule(E.To);
     }
     for (uint32_t EIdx : G.predEdges(V)) {
       const DepEdge &E = G.edges()[EIdx];
-      if (E.From != V && S.Scheduled[E.From] &&
-          Slot < S.Time[E.From] + E.Delay - II * E.Distance)
+      if (E.From != V && S.scheduled(E.From) &&
+          Slot < issueBound(E, S.Time[E.From], II))
         unschedule(E.From);
     }
   }
@@ -345,7 +390,10 @@ rmd::moduloSchedule(const DepGraph &G, const MachineDescription &MD,
   uint64_t Budget =
       static_cast<uint64_t>(Options.BudgetRatio) * G.numNodes();
 
-  AttemptState S;
+  // One state per thread, so its buffers outlive the run: every attempt
+  // of every loop scheduled on this thread reuses them. (moduloSchedule
+  // never runs re-entrantly on one thread.)
+  thread_local AttemptState S;
   for (int II = Result.Stats.MII; II <= MaxII; ++II) {
     uint64_t Decisions = 0;
     ScheduleOutcome Interrupt = ScheduleOutcome::TimedOut;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -108,7 +109,7 @@ static std::string describePositiveCycle(const DepGraph &G, int II) {
 
 Expected<int> rmd::computeRecMIIChecked(const DepGraph &G) {
   bool HasCarried = false;
-  int MaxDelaySum = 1;
+  long long MaxDelaySum = 1;
   for (const DepEdge &E : G.edges()) {
     HasCarried |= E.Distance > 0;
     MaxDelaySum += std::max(0, E.Delay);
@@ -130,7 +131,11 @@ Expected<int> rmd::computeRecMIIChecked(const DepGraph &G) {
   // all (it is not a valid loop body): at II = MaxDelaySum every
   // distance-carrying cycle is already far negative, so a surviving
   // positive cycle is zero-distance.
-  int Lo = 1, Hi = MaxDelaySum;
+  // Capped so the II ceiling (MII + 128) stays within int; a graph that
+  // needs an II past the cap is reported infeasible rather than wrapped.
+  int Lo = 1;
+  int Hi = static_cast<int>(
+      std::min<long long>(MaxDelaySum, std::numeric_limits<int>::max() / 2));
   if (hasPositiveCycle(G, Hi))
     return Status(ErrorCode::InfeasibleRecurrence,
                   "zero-distance positive-delay cycle: " +

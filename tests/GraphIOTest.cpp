@@ -1,6 +1,7 @@
 //===- tests/GraphIOTest.cpp - Loop-graph format tests --------------------===//
 
 #include "machines/Catalog.h"
+#include "mdl/Lexer.h"
 #include "sched/GraphIO.h"
 #include "sched/MII.h"
 
@@ -81,6 +82,29 @@ TEST(GraphIO, RoundTrips) {
   }
   for (NodeId N = 0; N < G->numNodes(); ++N)
     EXPECT_EQ(Back->nodeName(N), G->nodeName(N));
+}
+
+TEST(GraphIO, ErrorOversizedIntegerLiterals) {
+  // Delays and distances share the lexer's literal bound: INT_MAX,
+  // INT_MAX + 1, 2^63 and a 25-digit literal are diagnosed, not wrapped.
+  for (std::string Lit : {"2147483647", "2147483648", "9223372036854775808",
+                          "1234567890123456789012345"}) {
+    SCOPED_TRACE(Lit);
+    expectGraphError("loop t { a: load; edge a -> a delay " + Lit +
+                         " distance 1; }",
+                     "integer literal out of range");
+    expectGraphError("loop t { a: load; edge a -> a distance " + Lit + "; }",
+                     "integer literal out of range");
+  }
+  // At the limit the graph parses and its RecMII is exact.
+  MachineModel Cydra = loadMachine("cydra5").take();
+  DiagnosticEngine Diags;
+  std::string Max = std::to_string(MaxIntegerLiteral);
+  std::optional<DepGraph> G = parseLoopGraph(
+      "loop t { a: load; edge a -> a delay " + Max + " distance 1; }", Cydra,
+      Diags);
+  ASSERT_TRUE(G.has_value());
+  EXPECT_EQ(computeRecMII(*G), static_cast<int>(MaxIntegerLiteral));
 }
 
 TEST(GraphIO, Errors) {

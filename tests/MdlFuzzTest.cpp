@@ -71,22 +71,34 @@ TEST(MdlFuzz, MutationsOfValidInput) {
   RNG R(0x5EED);
   for (int Trial = 0; Trial < 1500; ++Trial) {
     std::string Text = Valid;
-    // Apply 1-4 random deletions/substitutions/duplications.
+    // Apply 1-4 random deletions/substitutions/duplications/digit runs.
     unsigned Edits = 1 + static_cast<unsigned>(R.nextBelow(4));
     for (unsigned E = 0; E < Edits && !Text.empty(); ++E) {
       size_t Pos = R.nextBelow(Text.size());
-      switch (R.nextBelow(3)) {
+      switch (R.nextBelow(4)) {
       case 0:
         Text.erase(Pos, 1 + R.nextBelow(5));
         break;
       case 1:
         Text[Pos] = static_cast<char>(R.nextInRange(32, 126));
         break;
-      default:
+      case 2:
         Text.insert(Pos, std::string(1 + R.nextBelow(3),
                                      static_cast<char>(
                                          R.nextInRange(32, 126))));
         break;
+      default: {
+        // Lengthen the next integer literal by 1-25 digits: oversized cycle
+        // numbers and latencies must be diagnosed, not wrapped.
+        size_t Digit = Text.find_first_of("0123456789", Pos);
+        if (Digit == std::string::npos)
+          Digit = Pos;
+        std::string Run;
+        for (uint64_t I = 0, Len = 1 + R.nextBelow(25); I < Len; ++I)
+          Run += static_cast<char>('0' + R.nextBelow(10));
+        Text.insert(Digit, Run);
+        break;
+      }
       }
     }
     parseMustBehave(Text);

@@ -1,6 +1,7 @@
 //===- tests/MdlTest.cpp - Machine description language tests -------------===//
 
 #include "machines/Catalog.h"
+#include "mdl/Lexer.h"
 #include "mdl/Parser.h"
 #include "mdl/Writer.h"
 #include "reduce/Reduction.h"
@@ -93,6 +94,36 @@ TEST(Mdl, ErrorEmptyRange) {
   expectParseError(
       "machine m { resources r; operation x { r at 5 .. 3; } }",
       "empty cycle range");
+}
+
+TEST(Mdl, ErrorOversizedIntegerLiterals) {
+  // INT_MAX, INT_MAX + 1, 2^63 and a 25-digit literal, as a cycle, a range
+  // end and a latency: each is a diagnosed parse error, never a wrapped
+  // cast, a signed overflow or a billion-cycle range.
+  for (std::string Lit : {"2147483647", "2147483648", "9223372036854775808",
+                          "1234567890123456789012345"}) {
+    SCOPED_TRACE(Lit);
+    expectParseError("machine m { resources r; operation x { r at " + Lit +
+                         "; } }",
+                     "integer literal out of range");
+    expectParseError("machine m { resources r; operation x { r at 5.." + Lit +
+                         "; } }",
+                     "integer literal out of range");
+    expectParseError("machine m { resources r; operation x latency " + Lit +
+                         " { r at 0; } }",
+                     "integer literal out of range");
+  }
+  // Wrapped to 4 by a 32-bit cast, this range once tripped an assert.
+  expectParseError("machine m { resources r0; operation x { r0 at "
+                   "5..4294967300; } }",
+                   "integer literal out of range");
+  // The limit itself is accepted.
+  MachineDescription MD = parseOrDie(
+      "machine m { resources r; operation x { r at " +
+      std::to_string(MaxIntegerLiteral) + "; } }");
+  ASSERT_EQ(MD.numOperations(), 1u);
+  EXPECT_EQ(MD.operation(0).table().length(),
+            static_cast<int>(MaxIntegerLiteral) + 1);
 }
 
 TEST(Mdl, ErrorMissingSemicolon) {
