@@ -319,6 +319,13 @@ int BitvectorQueryModule::checkWithAlternatives(
   return ContentionQueryModule::checkWithAlternatives(Alternatives, Cycle);
 }
 
+int BitvectorQueryModule::findSlot(const std::vector<OpId> &Alternatives,
+                                   int From, int Count, int &Alt) {
+  if (Config.UnionAlternativeCheck && Alternatives.size() >= 2)
+    return ContentionQueryModule::findSlot(Alternatives, From, Count, Alt);
+  return scanChecks(*this, Alternatives, From, Count, Alt);
+}
+
 void BitvectorQueryModule::reset() {
   std::fill(Words.begin(), Words.end(), 0);
   Owner.clear();

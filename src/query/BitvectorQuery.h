@@ -95,6 +95,11 @@ public:
   int checkWithAlternatives(const std::vector<OpId> &Alternatives,
                             int Cycle) override;
 
+  /// With the union check on, the base checkWithAlternatives() loop;
+  /// otherwise a scan over this module's inlined check().
+  int findSlot(const std::vector<OpId> &Alternatives, int From, int Count,
+               int &Alt) override;
+
   /// Cycle-bitvectors packed per word (the paper's k).
   unsigned cyclesPerWordUsed() const { return K; }
 
@@ -159,8 +164,9 @@ private:
   /// on contention. \p PoolMasks/\p PoolPrefix are the pools \p P indexes
   /// into: the shared arena's for per-op patterns, the module-local union
   /// pools for union patterns.
-  bool scanConflict(const PatternRef &P, size_t WordBase, uint64_t &Units,
-                    const uint64_t *PoolMasks, const uint16_t *PoolPrefix) {
+  __attribute__((always_inline)) bool
+  scanConflict(const PatternRef &P, size_t WordBase, uint64_t &Units,
+               const uint64_t *PoolMasks, const uint16_t *PoolPrefix) {
     // Words past the allocated table are empty and cannot conflict, but the
     // word-at-a-time loop still billed them; splitting the range keeps the
     // scan straight-line and the accounting identical.

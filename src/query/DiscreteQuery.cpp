@@ -47,38 +47,6 @@ void DiscreteQueryModule::ensureCycles(size_t CycleCount) {
   NumSlots = NewSlots;
 }
 
-size_t DiscreteQueryModule::slotIndex(int Cycle, int UsageCycle) {
-  int Abs = Cycle + UsageCycle;
-  if (Config.Mode == QueryConfig::Modulo) {
-    int Slot = Abs % Config.ModuloII;
-    if (Slot < 0)
-      Slot += Config.ModuloII;
-    return static_cast<size_t>(Slot);
-  }
-  assert(Abs >= Config.MinCycle && "cycle below the linear window");
-  size_t Slot = static_cast<size_t>(Abs - Config.MinCycle);
-  ensureCycles(Slot + 1);
-  return Slot;
-}
-
-bool DiscreteQueryModule::check(OpId Op, int Cycle) {
-  ++Counters.CheckCalls;
-  if (Config.Mode == QueryConfig::Modulo && SelfConflict[Op]) {
-    // The operation collides with its own copies from other iterations at
-    // this II; no placement can ever succeed.
-    ++Counters.CheckUnits;
-    return false;
-  }
-  const ReservationTable &RT = MD.operation(Op).table();
-  for (const ResourceUsage &U : RT.usages()) {
-    ++Counters.CheckUnits;
-    size_t Index = slotIndex(Cycle, U.Cycle) * NumResources + U.Resource;
-    if (Reserved[Index])
-      return false; // abort on first contention
-  }
-  return true;
-}
-
 void DiscreteQueryModule::assign(OpId Op, int Cycle, InstanceId Instance) {
   ++Counters.AssignCalls;
   assert((Config.Mode != QueryConfig::Modulo || !SelfConflict[Op]) &&
@@ -92,8 +60,7 @@ void DiscreteQueryModule::assign(OpId Op, int Cycle, InstanceId Instance) {
     Reserved[Index] = 1;
     Owner[Index] = Instance;
   }
-  [[maybe_unused]] bool Inserted =
-      Instances.emplace(Instance, InstanceInfo{Op, Cycle}).second;
+  [[maybe_unused]] bool Inserted = Instances.insert(Instance, Op, Cycle);
   assert(Inserted && "instance id already scheduled");
 }
 
@@ -108,22 +75,23 @@ void DiscreteQueryModule::free(OpId Op, int Cycle, InstanceId Instance) {
     Reserved[Index] = 0;
     Owner[Index] = -1;
   }
-  [[maybe_unused]] size_t Erased = Instances.erase(Instance);
-  assert(Erased == 1 && "freeing an unscheduled instance");
+  [[maybe_unused]] bool Erased = Instances.erase(Instance);
+  assert(Erased && "freeing an unscheduled instance");
 }
 
 void DiscreteQueryModule::evict(InstanceId Instance) {
-  auto It = Instances.find(Instance);
-  assert(It != Instances.end() && "evicting an unknown instance");
-  const ReservationTable &RT = MD.operation(It->second.Op).table();
+  const InstanceTable::Entry *Info = Instances.find(Instance);
+  assert(Info && "evicting an unknown instance");
+  OpId Op = Info->Op;
+  int Cycle = Info->Cycle;
+  const ReservationTable &RT = MD.operation(Op).table();
   for (const ResourceUsage &U : RT.usages()) {
     ++Counters.AssignFreeUnits;
-    size_t Index =
-        slotIndex(It->second.Cycle, U.Cycle) * NumResources + U.Resource;
+    size_t Index = slotIndex(Cycle, U.Cycle) * NumResources + U.Resource;
     Reserved[Index] = 0;
     Owner[Index] = -1;
   }
-  Instances.erase(It);
+  Instances.erase(Instance);
 }
 
 void DiscreteQueryModule::assignAndFree(OpId Op, int Cycle,
@@ -147,9 +115,13 @@ void DiscreteQueryModule::assignAndFree(OpId Op, int Cycle,
     Reserved[Index] = 1;
     Owner[Index] = Instance;
   }
-  [[maybe_unused]] bool Inserted =
-      Instances.emplace(Instance, InstanceInfo{Op, Cycle}).second;
+  [[maybe_unused]] bool Inserted = Instances.insert(Instance, Op, Cycle);
   assert(Inserted && "instance id already scheduled");
+}
+
+int DiscreteQueryModule::findSlot(const std::vector<OpId> &Alternatives,
+                                  int From, int Count, int &Alt) {
+  return scanChecks(*this, Alternatives, From, Count, Alt);
 }
 
 void DiscreteQueryModule::reset() {
@@ -168,8 +140,7 @@ DiscreteQueryModule::Snapshot DiscreteQueryModule::snapshot() const {
   S.Reserved = Reserved;
   S.Owner = Owner;
   S.NumSlots = NumSlots;
-  for (const auto &[Instance, Info] : Instances)
-    S.Instances.emplace(Instance, std::make_pair(Info.Op, Info.Cycle));
+  S.Instances = Instances;
   S.Counters = Counters;
   return S;
 }
@@ -178,9 +149,7 @@ void DiscreteQueryModule::restore(const Snapshot &S) {
   Reserved = S.Reserved;
   Owner = S.Owner;
   NumSlots = S.NumSlots;
-  Instances.clear();
-  for (const auto &[Instance, Info] : S.Instances)
-    Instances.emplace(Instance, InstanceInfo{Info.first, Info.second});
+  Instances = S.Instances;
   // Rewind accounting with the state: a restored module reports exactly
   // the work of the branch that was kept (see Snapshot's doc comment).
   Counters = S.Counters;

@@ -13,10 +13,11 @@
 #ifndef RMD_QUERY_DISCRETEQUERY_H
 #define RMD_QUERY_DISCRETEQUERY_H
 
+#include "query/InstanceTable.h"
 #include "query/QueryModule.h"
 
+#include <cassert>
 #include <iosfwd>
-#include <unordered_map>
 
 namespace rmd {
 
@@ -25,8 +26,9 @@ namespace rmd {
 /// slot. Such an operation cannot be modulo-scheduled at that II.
 bool hasModuloSelfConflict(const ReservationTable &RT, int II);
 
-/// Discrete-representation contention query module.
-class DiscreteQueryModule : public ContentionQueryModule {
+/// Discrete-representation contention query module. Final so findSlot()
+/// and direct calls through a concrete object devirtualize.
+class DiscreteQueryModule final : public ContentionQueryModule {
 public:
   /// \p MD must be expanded. The module keeps a reference to \p MD; it must
   /// outlive the module.
@@ -38,6 +40,8 @@ public:
   void assignAndFree(OpId Op, int Cycle, InstanceId Instance,
                      std::vector<InstanceId> &Evicted) override;
   void reset() override;
+  int findSlot(const std::vector<OpId> &Alternatives, int From, int Count,
+               int &Alt) override;
 
   /// Bytes of reserved-table storage currently allocated (memory metric).
   size_t reservedTableBytes() const;
@@ -59,7 +63,7 @@ public:
     std::vector<uint8_t> Reserved;
     std::vector<InstanceId> Owner;
     size_t NumSlots = 0;
-    std::unordered_map<InstanceId, std::pair<OpId, int>> Instances;
+    InstanceTable Instances;
     WorkCounters Counters;
   };
 
@@ -87,16 +91,51 @@ private:
   std::vector<InstanceId> Owner;
   size_t NumSlots = 0;
 
-  struct InstanceInfo {
-    OpId Op;
-    int Cycle;
-  };
-  std::unordered_map<InstanceId, InstanceInfo> Instances;
+  /// Scheduled instances and their (op, issue cycle).
+  InstanceTable Instances;
 
   /// Modulo mode: SelfConflict[op] is true when two usages of op map to the
   /// same (resource, slot) under this II; such an op can never be placed.
   std::vector<uint8_t> SelfConflict;
 };
+
+// check() and slotIndex() are inline (always_inline: GCC otherwise keeps
+// them out of line) so findSlot's scan and direct calls through a concrete
+// module run the check without a call per cycle and per usage.
+
+__attribute__((always_inline)) inline size_t
+DiscreteQueryModule::slotIndex(int Cycle, int UsageCycle) {
+  int Abs = Cycle + UsageCycle;
+  if (Config.Mode == QueryConfig::Modulo) {
+    int Slot = Abs % Config.ModuloII;
+    if (Slot < 0)
+      Slot += Config.ModuloII;
+    return static_cast<size_t>(Slot);
+  }
+  assert(Abs >= Config.MinCycle && "cycle below the linear window");
+  size_t Slot = static_cast<size_t>(Abs - Config.MinCycle);
+  ensureCycles(Slot + 1);
+  return Slot;
+}
+
+__attribute__((always_inline)) inline bool
+DiscreteQueryModule::check(OpId Op, int Cycle) {
+  ++Counters.CheckCalls;
+  if (Config.Mode == QueryConfig::Modulo && SelfConflict[Op]) {
+    // The operation collides with its own copies from other iterations at
+    // this II; no placement can ever succeed.
+    ++Counters.CheckUnits;
+    return false;
+  }
+  const ReservationTable &RT = MD.operation(Op).table();
+  for (const ResourceUsage &U : RT.usages()) {
+    ++Counters.CheckUnits;
+    size_t Index = slotIndex(Cycle, U.Cycle) * NumResources + U.Resource;
+    if (Reserved[Index])
+      return false; // abort on first contention
+  }
+  return true;
+}
 
 } // namespace rmd
 

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// An open-addressing map from InstanceId to (operation, issue cycle) for
-/// the bitvector module's scheduled-instance bookkeeping. The standard
+/// the query modules' scheduled-instance bookkeeping. The standard
 /// node-based unordered_map paid one allocation per assign and one free per
 /// free — malloc traffic on the scheduler's hottest path. This table is a
 /// single flat array: linear probing, backward-shift deletion (no
@@ -61,6 +61,7 @@ public:
 
   /// The live entry of \p Id, or nullptr.
   const Entry *find(InstanceId Id) const {
+    assert(Id != Empty && "INT32_MIN is the empty-slot sentinel");
     size_t I = slotFor(Id);
     while (Slots[I].Id != Empty) {
       if (Slots[I].Id == Id)
@@ -73,6 +74,7 @@ public:
   /// Removes \p Id; returns false if it was not present. Backward-shift
   /// deletion keeps probe chains tombstone-free.
   bool erase(InstanceId Id) {
+    assert(Id != Empty && "INT32_MIN is the empty-slot sentinel");
     size_t I = slotFor(Id);
     while (Slots[I].Id != Id) {
       if (Slots[I].Id == Empty)

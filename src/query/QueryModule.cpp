@@ -46,3 +46,14 @@ int ContentionQueryModule::checkWithAlternatives(
       return static_cast<int>(I);
   return -1;
 }
+
+int ContentionQueryModule::findSlot(const std::vector<OpId> &Alternatives,
+                                    int From, int Count, int &Alt) {
+  for (int I = 0; I < Count; ++I) {
+    Alt = checkWithAlternatives(Alternatives, From + I);
+    if (Alt >= 0)
+      return From + I;
+  }
+  Alt = -1;
+  return -1;
+}

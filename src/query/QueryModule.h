@@ -173,11 +173,40 @@ public:
   virtual int checkWithAlternatives(const std::vector<OpId> &Alternatives,
                                     int Cycle);
 
+  /// The schedulers' window scan: the first cycle of From, From + 1, ...,
+  /// From + Count - 1 at which checkWithAlternatives() finds a fit. Returns
+  /// that cycle and sets \p Alt to the alternative index found there, or
+  /// returns -1 and sets \p Alt to -1 when no cycle of the window fits
+  /// (\p Alt, not the return value, tells the two apart). The answer and
+  /// the work counters are exactly those of the checkWithAlternatives()
+  /// loop. The base version is that loop, so a wrapper that observes
+  /// checkWithAlternatives() (tracing, shadowing) sees every call; a
+  /// concrete module overrides it to scan its own inlined check() with one
+  /// virtual call per window instead of one per cycle.
+  virtual int findSlot(const std::vector<OpId> &Alternatives, int From,
+                       int Count, int &Alt);
+
   WorkCounters &counters() { return Counters; }
   const WorkCounters &counters() const { return Counters; }
 
 protected:
   WorkCounters Counters;
+
+  /// findSlot() for a final module type: \p M's own check() per
+  /// alternative and cycle, which the compiler calls (and inlines)
+  /// directly.
+  template <typename ModuleT>
+  static int scanChecks(ModuleT &M, const std::vector<OpId> &Alternatives,
+                        int From, int Count, int &Alt) {
+    for (int I = 0; I < Count; ++I)
+      for (size_t A = 0; A < Alternatives.size(); ++A)
+        if (M.check(Alternatives[A], From + I)) {
+          Alt = static_cast<int>(A);
+          return From + I;
+        }
+    Alt = -1;
+    return -1;
+  }
 
   /// Work zeroed out of Counters by retireCounters(); the destructor
   /// publishes RetiredWork + Counters so per-run resets don't erase the

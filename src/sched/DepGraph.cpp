@@ -62,8 +62,10 @@ std::vector<NodeId> DepGraph::topologicalOrder() const {
 bool DepGraph::scheduleRespectsDependences(const std::vector<int> &Time,
                                            int II) const {
   assert(Time.size() == numNodes() && "time vector size mismatch");
+  // In 64 bits: II * Distance can leave int range on large inputs.
   for (const DepEdge &E : Edges)
-    if (Time[E.To] < Time[E.From] + E.Delay - II * E.Distance)
+    if (Time[E.To] < static_cast<long long>(Time[E.From]) + E.Delay -
+                         static_cast<long long>(II) * E.Distance)
       return false;
   return true;
 }

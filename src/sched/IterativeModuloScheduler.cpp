@@ -238,18 +238,11 @@ attemptSchedule(const DepGraph &G, const QueryEnvironment &Env, int II,
     uint64_t ChecksBefore = Module->counters().CheckCalls;
 
     // Scan one II window for a contention-free slot.
-    int Slot = -1;
-    int Alt = -1;
-    for (int T = Estart; T < Estart + II && Slot < 0; ++T) {
-      int Found = Q.checkWithAlternatives(Alts, T);
-      if (Found >= 0) {
-        Slot = T;
-        Alt = Found;
-      }
-    }
+    int Alt;
+    int Slot = Q.findSlot(Alts, Estart, II, Alt);
 
     S.Evicted.clear();
-    if (Slot >= 0) {
+    if (Alt >= 0) {
       // The IMS schedules through assign&free even for conflict-free slots
       // (Section 8: the benchmark issues no plain assign calls); eviction
       // cannot happen here since check() just succeeded.

@@ -5,9 +5,9 @@
 #include "support/FatalError.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 using namespace rmd;
@@ -29,29 +29,6 @@ int rmd::computeResMII(const MachineDescription &MD, const DepGraph &G) {
   return std::max(1, static_cast<int>(std::ceil(MaxLoad - 1e-9)));
 }
 
-/// True if some dependence cycle of \p G has positive total weight under
-/// (Delay - II * Distance): i.e. II is infeasible for the recurrences.
-static bool hasPositiveCycle(const DepGraph &G, int II) {
-  // Bellman-Ford longest-path relaxation from all nodes simultaneously
-  // (distance 0 start); a relaxation succeeding on pass N implies a
-  // positive cycle.
-  size_t N = G.numNodes();
-  std::vector<long long> Dist(N, 0);
-  for (size_t Pass = 0; Pass <= N; ++Pass) {
-    bool Changed = false;
-    for (const DepEdge &E : G.edges()) {
-      long long W = E.Delay - static_cast<long long>(II) * E.Distance;
-      if (Dist[E.From] + W > Dist[E.To]) {
-        Dist[E.To] = Dist[E.From] + W;
-        Changed = true;
-      }
-    }
-    if (!Changed)
-      return false;
-  }
-  return true;
-}
-
 /// Renders node \p N for a diagnostic: its name when the graph has one,
 /// "#<id>" otherwise.
 static std::string nodeLabel(const DepGraph &G, NodeId N) {
@@ -59,96 +36,117 @@ static std::string nodeLabel(const DepGraph &G, NodeId N) {
   return Name.empty() ? "#" + std::to_string(N) : Name;
 }
 
-/// Extracts one positive cycle of \p G under weight (Delay - II*Distance),
-/// assuming hasPositiveCycle(G, II). Renders it as
-/// "a -> b -> a (total delay D, distance 0)".
-static std::string describePositiveCycle(const DepGraph &G, int II) {
+namespace {
+
+/// One dependence cycle, as its edges in path order, plus the relaxation
+/// buffers that found it (reused from probe to probe).
+struct DepCycle {
+  std::vector<uint32_t> Edges;
+  long long Delay = 0;
+  long long Distance = 0;
+  std::vector<long long> Dist;
+  std::vector<uint32_t> Parent;
+  std::vector<uint32_t> Seen;
+};
+
+constexpr uint32_t NoParent = std::numeric_limits<uint32_t>::max();
+
+} // namespace
+
+/// Bellman-Ford longest-path relaxation of \p G under weight
+/// (Delay - II * Distance), from all nodes at once (distance 0 start).
+/// Returns false when it converges: no dependence cycle is positive, so
+/// II is feasible for the recurrences. Otherwise fills \p C with one
+/// positive cycle. Every relaxation strictly lengthens a path, so any cycle
+/// of parent edges is positive; after each pass the parent chain of the
+/// last node relaxed is walked, and the first cycle it closes is taken.
+/// Such a cycle exists at the latest on pass N, when the relaxation would
+/// otherwise stop, and usually within a few passes.
+static bool findPositiveCycle(const DepGraph &G, long long II, DepCycle &C) {
   size_t N = G.numNodes();
-  std::vector<long long> Dist(N, 0);
-  std::vector<int32_t> Parent(N, -1);
-  // N full passes leave every node that keeps relaxing with a Parent chain
-  // that must contain a positive cycle.
-  NodeId Touched = N;
-  for (size_t Pass = 0; Pass <= N; ++Pass)
-    for (uint32_t EIdx = 0; EIdx < G.numEdges(); ++EIdx) {
-      const DepEdge &E = G.edges()[EIdx];
-      long long W = E.Delay - static_cast<long long>(II) * E.Distance;
-      if (Dist[E.From] + W > Dist[E.To]) {
-        Dist[E.To] = Dist[E.From] + W;
-        Parent[E.To] = static_cast<int32_t>(EIdx);
+  const std::vector<DepEdge> &Edges = G.edges();
+  C.Dist.assign(N, 0);
+  C.Parent.assign(N, NoParent);
+  C.Seen.assign(N, 0);
+  for (uint32_t Pass = 1; Pass <= N + 1; ++Pass) {
+    NodeId Touched = 0;
+    bool Changed = false;
+    for (uint32_t EIdx = 0; EIdx < Edges.size(); ++EIdx) {
+      const DepEdge &E = Edges[EIdx];
+      long long Candidate = C.Dist[E.From] + E.Delay - II * E.Distance;
+      if (Candidate > C.Dist[E.To]) {
+        C.Dist[E.To] = Candidate;
+        C.Parent[E.To] = EIdx;
         Touched = E.To;
+        Changed = true;
       }
     }
-  if (Touched == N)
-    return "(cycle extraction failed)"; // unreachable given the caller
+    if (!Changed)
+      return false;
 
-  // Walk N parent steps to land inside the cycle, then collect it.
-  NodeId X = Touched;
-  for (size_t I = 0; I < N; ++I)
-    X = G.edges()[static_cast<uint32_t>(Parent[X])].From;
-  std::vector<uint32_t> CycleEdges;
-  NodeId V = X;
-  do {
-    uint32_t EIdx = static_cast<uint32_t>(Parent[V]);
-    CycleEdges.push_back(EIdx);
-    V = G.edges()[EIdx].From;
-  } while (V != X);
-  std::reverse(CycleEdges.begin(), CycleEdges.end());
+    // Walk back from Touched, stamping nodes with this pass; reaching a
+    // stamped node closes a cycle, reaching a root ends the walk.
+    NodeId X = Touched;
+    while (C.Parent[X] != NoParent && C.Seen[X] != Pass) {
+      C.Seen[X] = Pass;
+      X = Edges[C.Parent[X]].From;
+    }
+    if (C.Parent[X] == NoParent)
+      continue;
 
-  long long DelaySum = 0, DistanceSum = 0;
-  std::string Path = nodeLabel(G, X);
-  for (uint32_t EIdx : CycleEdges) {
-    const DepEdge &E = G.edges()[EIdx];
-    DelaySum += E.Delay;
-    DistanceSum += E.Distance;
-    Path += " -> " + nodeLabel(G, E.To);
+    C.Edges.clear();
+    C.Delay = C.Distance = 0;
+    NodeId V = X;
+    do {
+      C.Edges.push_back(C.Parent[V]);
+      V = Edges[C.Parent[V]].From;
+    } while (V != X);
+    std::reverse(C.Edges.begin(), C.Edges.end());
+    for (uint32_t EIdx : C.Edges) {
+      C.Delay += Edges[EIdx].Delay;
+      C.Distance += Edges[EIdx].Distance;
+    }
+    return true;
   }
-  return Path + " (total delay " + std::to_string(DelaySum) + ", distance " +
-         std::to_string(DistanceSum) + ")";
+  assert(false && "a relaxation on pass N leaves a parent cycle");
+  return true;
+}
+
+/// Renders \p C as "a -> b -> a (total delay D, distance S)".
+static std::string describeCycle(const DepGraph &G, const DepCycle &C) {
+  std::string Path = nodeLabel(G, G.edges()[C.Edges.front()].From);
+  for (uint32_t EIdx : C.Edges)
+    Path += " -> " + nodeLabel(G, G.edges()[EIdx].To);
+  return Path + " (total delay " + std::to_string(C.Delay) + ", distance " +
+         std::to_string(C.Distance) + ")";
 }
 
 Expected<int> rmd::computeRecMIIChecked(const DepGraph &G) {
-  bool HasCarried = false;
-  long long MaxDelaySum = 1;
-  for (const DepEdge &E : G.edges()) {
-    HasCarried |= E.Distance > 0;
-    MaxDelaySum += std::max(0, E.Delay);
-  }
-  if (!HasCarried) {
-    // No carried dependence: RecMII is 1 — unless the "loop body" has a
-    // zero-distance cycle, which no II fixes (a positive zero-distance
-    // cycle has positive weight at every II; probe at II = 1).
-    if (hasPositiveCycle(G, 1))
+  // Cycle raising: probe II; while some cycle is positive, raise II to
+  // that cycle's ceil(Delay / Distance). Every cycle needs at least its own
+  // ratio, so II never passes RecMII, and it rises strictly each probe
+  // (the cycle was positive at II): the first feasible probe is RecMII.
+  // A positive cycle with distance 0 is positive at every II (not a valid
+  // loop body). The cap keeps the II ceiling (MII + 128) within int; a
+  // graph that needs an II past it is reported infeasible rather than
+  // wrapped.
+  constexpr long long Cap = std::numeric_limits<int>::max() / 2;
+  long long II = 1;
+  DepCycle C;
+  while (findPositiveCycle(G, II, C)) {
+    if (C.Distance == 0)
       return Status(ErrorCode::InfeasibleRecurrence,
                     "zero-distance positive-delay cycle: " +
-                        describePositiveCycle(G, 1) +
+                        describeCycle(G, C) +
                         "; no initiation interval is feasible");
-    return 1;
+    II = (C.Delay + C.Distance - 1) / C.Distance;
+    if (II > Cap)
+      return Status(ErrorCode::InfeasibleRecurrence,
+                    "recurrence needs an initiation interval above " +
+                        std::to_string(Cap) + ": " + describeCycle(G, C) +
+                        "; no initiation interval is feasible");
   }
-
-  // Feasibility is monotone in II; binary search the smallest feasible II.
-  // A graph with a positive-delay cycle at distance 0 has no feasible II at
-  // all (it is not a valid loop body): at II = MaxDelaySum every
-  // distance-carrying cycle is already far negative, so a surviving
-  // positive cycle is zero-distance.
-  // Capped so the II ceiling (MII + 128) stays within int; a graph that
-  // needs an II past the cap is reported infeasible rather than wrapped.
-  int Lo = 1;
-  int Hi = static_cast<int>(
-      std::min<long long>(MaxDelaySum, std::numeric_limits<int>::max() / 2));
-  if (hasPositiveCycle(G, Hi))
-    return Status(ErrorCode::InfeasibleRecurrence,
-                  "zero-distance positive-delay cycle: " +
-                      describePositiveCycle(G, Hi) +
-                      "; no initiation interval is feasible");
-  while (Lo < Hi) {
-    int Mid = Lo + (Hi - Lo) / 2;
-    if (hasPositiveCycle(G, Mid))
-      Lo = Mid + 1;
-    else
-      Hi = Mid;
-  }
-  return Lo;
+  return static_cast<int>(II);
 }
 
 int rmd::computeRecMII(const DepGraph &G) {

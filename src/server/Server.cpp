@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include <sys/socket.h>
@@ -577,6 +578,10 @@ std::vector<uint8_t> RmdServer::handleBatch(const BatchRequest &R,
               E.TheVerb == Verb::CheckAssign))
       What = "operation " + std::to_string(E.Op) +
              " self-conflicts at this II and can never be placed";
+    else if (E.TheVerb != Verb::Reset && E.TheVerb != Verb::Check &&
+             E.Instance == std::numeric_limits<InstanceId>::min())
+      // The modules' instance tables reserve this id as their empty slot.
+      What = "instance " + std::to_string(E.Instance) + " is reserved";
     if (!What.empty()) {
       Error = Status(ErrorCode::ProtocolError,
                      "event " + std::to_string(I) + ": " + What);

@@ -305,6 +305,22 @@ TEST_F(FaultInjectionTest, DisarmedFireCountsNothing) {
   EXPECT_EQ(FI.hits(faultpoints::MdlParse), 0u);
 }
 
+TEST_F(FaultInjectionTest, DisarmedHitsDoNotShiftLaterOrdinals) {
+  // fire() while disarmed neither counts the hit nor consumes an ordinal,
+  // so a trigger armed afterwards counts from its own first hit.
+  FaultInjection &FI = FaultInjection::instance();
+  for (int I = 0; I < 100000; ++I)
+    ASSERT_FALSE(FaultInjection::fire(faultpoints::SchedDeadline));
+  EXPECT_EQ(FI.hits(faultpoints::SchedDeadline), 0u);
+  ASSERT_TRUE(FI.configure("sched.deadline:3").isOk());
+  EXPECT_FALSE(FaultInjection::fire(faultpoints::SchedDeadline));
+  EXPECT_FALSE(FaultInjection::fire(faultpoints::SchedDeadline));
+  EXPECT_TRUE(FaultInjection::fire(faultpoints::SchedDeadline));
+  EXPECT_FALSE(FaultInjection::fire(faultpoints::SchedDeadline));
+  EXPECT_EQ(FI.hits(faultpoints::SchedDeadline), 4u);
+  EXPECT_EQ(FI.fired(faultpoints::SchedDeadline), 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Per-point sweep and pairwise combinations
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace rmd;
 
 namespace {
@@ -73,6 +75,23 @@ TEST(DepGraph, ScheduleRespectsDependences) {
   G.addEdge(B, A, 5, 1);
   EXPECT_TRUE(G.scheduleRespectsDependences({0, 3}, 8));
   EXPECT_FALSE(G.scheduleRespectsDependences({0, 3}, 7));
+}
+
+TEST(DepGraph, ScheduleRespectsDependencesAtLargeII) {
+  // II * Distance = 600000 * 4095 leaves int range; the check must do the
+  // arithmetic in 64 bits (it is the IMS post-condition, asserted in every
+  // build).
+  DepGraph G("wide");
+  NodeId A = G.addNode(0);
+  NodeId B = G.addNode(0);
+  G.addEdge(A, B, 4095);
+  G.addEdge(B, A, 4095, 4095);
+  EXPECT_TRUE(G.scheduleRespectsDependences({0, 4095}, 600000));
+  EXPECT_FALSE(G.scheduleRespectsDependences({0, 4094}, 600000));
+  // The carried edge's bound lies below INT_MIN, so it holds for any
+  // issue time of A.
+  EXPECT_TRUE(G.scheduleRespectsDependences(
+      {std::numeric_limits<int>::min(), 0}, 600000));
 }
 
 TEST(MII, RecurrenceBound) {

@@ -27,6 +27,7 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <limits>
 #include <unistd.h>
 #include <thread>
 #include <vector>
@@ -321,6 +322,46 @@ TEST(ServerConcurrency, SessionsArePinnedToTheirConnection) {
   for (int Spin = 0; Spin < 200 && Server.value()->sessionCount(); ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(Server.value()->sessionCount(), 0u);
+}
+
+TEST(ServerConcurrency, ReservedInstanceIdIsAProtocolError) {
+  // INT32_MIN is the instance tables' empty-slot sentinel. A batch that
+  // assigns it must be refused before it reaches the module, and the
+  // server must keep serving.
+  ServerOptions Options;
+  Options.SocketPath = uniqueSocket("sentinel");
+  Options.Workers = 2;
+  Expected<std::unique_ptr<RmdServer>> Server =
+      RmdServer::start(std::move(Options));
+  ASSERT_TRUE(bool(Server)) << Server.status().render();
+  Expected<std::unique_ptr<RmdClient>> C =
+      RmdClient::connect(Server.value()->socketPath(), 300000);
+  ASSERT_TRUE(bool(C));
+
+  Expected<LoadMachineReply> M = C.value()->loadMachine("cydra5");
+  ASSERT_TRUE(bool(M));
+  OpenSessionRequest Req;
+  Req.MachineId = M.value().MachineId;
+  Expected<OpenSessionReply> Open = C.value()->openSession(Req);
+  ASSERT_TRUE(bool(Open));
+
+  BatchRequest Batch;
+  Batch.SessionId = Open.value().SessionId;
+  Batch.Events.push_back(
+      {Verb::CheckAssign, 0, 0, std::numeric_limits<int32_t>::min()});
+  Batch.Events.push_back({Verb::AssignFree, 0, 0, 1});
+  Expected<BatchReply> Reply = C.value()->runBatch(Batch);
+  ASSERT_FALSE(bool(Reply));
+  EXPECT_EQ(Reply.status().code(), ErrorCode::ProtocolError);
+  EXPECT_NE(Reply.status().message().find("event 0"), std::string::npos)
+      << Reply.status().render();
+
+  EXPECT_TRUE(C.value()->ping().isOk());
+  // The rejected batch left the session untouched and usable.
+  Batch.Events = {{Verb::CheckAssign, 0, 0, 1}};
+  Reply = C.value()->runBatch(Batch);
+  ASSERT_TRUE(bool(Reply)) << Reply.status().render();
+  EXPECT_EQ(Reply.value().Results, std::vector<uint8_t>{1});
 }
 
 TEST(ServerConcurrency, OverloadedIsStructuredNotFatal) {
