@@ -110,6 +110,9 @@ public:
   /// excludes owner fields, which exist only after a transition).
   size_t reservedTableBytes() const { return Words.size() * sizeof(uint64_t); }
 
+  /// The reserved-table words (the golden tests digest them).
+  const simd::WordVector &reservedTable() const { return Words; }
+
   /// Bytes of the packed pattern arena (masks, prefix counts, and span
   /// table — the per-op arena, shared or not, plus this module's cached
   /// union patterns).

@@ -1,28 +1,23 @@
-//===- query/SimdOps.h - Vectorized word-mask primitives -------*- C++ -*-===//
+//===- query/SimdOps.h - Bitvector word-mask kernels ------------*- C++ -*-===//
 ///
 /// \file
 /// The three word-granular primitives of the bitvector hot path —
 /// first-conflict scan (AND), reserve (OR), release (AND-NOT) — over
-/// contiguous spans of 64-bit words, with 128/256-bit vector kernels behind
-/// a tiny compile-time + runtime dispatch and a portable scalar fallback.
+/// contiguous spans of 64-bit words, plus the fixed-width row kernels of
+/// the uniform-row mirror. One kernel set, the same in every build:
 ///
-/// Dispatch tiers:
-///   - Scalar: portable C++, the reference semantics; every other tier must
-///     produce bit-identical results (tests/SimdQueryTest sweeps this).
-///   - Sse2:   128-bit GCC/Clang vector extensions; baseline on x86-64, so
-///     it needs no runtime probe there.
-///   - Avx2:   256-bit kernels compiled with a per-function target
-///     attribute (no global -mavx2), selected only when
-///     __builtin_cpu_supports("avx2") says the host has it.
+///   - Spans of one or two words take plain word operations.
+///   - Spans of 3..8 words take overlapping 128-bit pair covers built from
+///     GCC/Clang vector extensions, which compile at the baseline ISA (SSE2
+///     on x86-64, NEON on aarch64, word pairs elsewhere) with no target
+///     attribute, runtime probe or intrinsic.
+///   - Longer spans take one plain word loop. Only two kinds of traffic
+///     reach it: cydra5 modulo patterns at II >= 33 and the unreduced
+///     cydra5 / alpha21064 / mips-r3000 descriptions (up to 24 words). The
+///     reduced corpus descriptions span at most 7 words in linear mode.
 ///
-/// The active tier resolves once, from min(compile-time support, host CPU,
-/// RMD_SIMD override). `RMD_SIMD=off|scalar|sse2|avx2` forces a tier from
-/// the environment (sanitizer CI pins `off`: vector intrinsics and
-/// ASan/UBSan interact poorly); building with -DRMD_FORCE_SCALAR removes
-/// the vector kernels entirely. Spans of one or two words — the common
-/// pattern length on small machines — are handled inline before any
-/// dispatch, so the vector machinery only ever sees the multi-word case it
-/// helps.
+/// tests/SimdQueryTest sweeps every primitive against naive per-word loops
+/// at every span length through the loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,37 +32,14 @@
 namespace rmd {
 namespace simd {
 
-/// Kernel tiers, ordered by preference.
-enum class Tier : int { Scalar = 0, Sse2 = 1, Avx2 = 2 };
+/// The one compiled kernel set, named for perfbench's `simd_tier` run
+/// metadata. Both functions go when the benchmark drops that field.
+enum class Tier : int { V128 = 0 };
+inline const char *tierName(Tier) { return "v128"; }
+inline Tier activeTier() { return Tier::V128; }
 
-/// Stable lowercase tier name ("scalar", "sse2", "avx2").
-const char *tierName(Tier T);
-
-/// The tier every dispatched call uses; resolved once on first use.
-Tier activeTier();
-
-/// Forces the active tier (clamped to what the build and host support) and
-/// returns the previous one. For tests that sweep scalar-vs-vector
-/// equivalence in one process; not thread-safe against concurrent queries.
-Tier forceTier(Tier T);
-
-//===----------------------------------------------------------------------===//
-// Out-of-line dispatched kernels (SimdOps.cpp). Call the inline wrappers
-// below instead; they peel the short spans that dominate real patterns.
-//===----------------------------------------------------------------------===//
-
-ptrdiff_t firstConflictDispatch(const uint64_t *Words, const uint64_t *Masks,
-                                size_t N);
-void orIntoDispatch(uint64_t *Words, const uint64_t *Masks, size_t N);
-uint64_t orIntoCheckDispatch(uint64_t *Words, const uint64_t *Masks, size_t N);
-void andNotIntoDispatch(uint64_t *Words, const uint64_t *Masks, size_t N);
-
-#ifndef RMD_FORCE_SCALAR
-/// 128-bit lane for the inline short-span peels. GCC/Clang synthesize these
-/// vector-extension ops at the baseline ISA (SSE2 on x86-64, NEON on
-/// aarch64, plain word pairs elsewhere), so no target attribute or runtime
-/// probe is needed. The unaligned accesses go through __builtin_memcpy,
-/// which the compilers fold to movdqu-class loads.
+/// 128-bit lane for the short-span peels. The unaligned accesses go through
+/// __builtin_memcpy, which the compilers fold to movdqu-class loads.
 typedef uint64_t ShortV2 __attribute__((vector_size(16), may_alias));
 
 inline ShortV2 loadV2(const uint64_t *P) {
@@ -76,17 +48,9 @@ inline ShortV2 loadV2(const uint64_t *P) {
   return V;
 }
 inline void storeV2(uint64_t *P, ShortV2 V) { __builtin_memcpy(P, &V, sizeof(V)); }
-#endif
 
-/// Inline peel width: spans up to this many words are handled by the
-/// wrappers below without reaching the dispatched kernels. Covers every
-/// per-op pattern of the bundled machine corpus except fig1's widest.
-constexpr size_t ShortSpanWords =
-#ifndef RMD_FORCE_SCALAR
-    8;
-#else
-    4;
-#endif
+/// Peel width: spans up to this many words take the pair covers.
+constexpr size_t ShortSpanWords = 8;
 
 /// Index of the first word with (Words[i] & Masks[i]) != 0, or -1 if the
 /// whole span is conflict-free. The index contract is what lets the caller
@@ -95,9 +59,9 @@ constexpr size_t ShortSpanWords =
 /// Short spans use *overlapping pair covers*: 128-bit lanes at [0, 1] and
 /// [N-2, N-1] cover any 2 <= N <= 4 (the lanes overlap when N < 4), and two
 /// more at [2, 3] and [N-4, N-3] extend the cover to N <= 8. Detection is
-/// branch-free within a tier — one data-dependent branch for the whole span
-/// instead of one per word — and the exact index is recovered only on the
-/// conflict path, which has to walk PrefixPool anyway.
+/// branch-free — one data-dependent branch for the whole span instead of
+/// one per word — and the exact index is recovered only on the conflict
+/// path, which has to walk PrefixPool anyway.
 inline ptrdiff_t firstConflict(const uint64_t *Words, const uint64_t *Masks,
                                size_t N) {
   if (N == 0)
@@ -110,8 +74,7 @@ inline ptrdiff_t firstConflict(const uint64_t *Words, const uint64_t *Masks,
       return -1;
     return (Words[0] & Masks[0]) ? 0 : 1;
   }
-#ifndef RMD_FORCE_SCALAR
-  if (N <= 8) {
+  if (N <= ShortSpanWords) {
     size_t B = N - 2;
     ShortV2 Hot = (loadV2(Words) & loadV2(Masks)) |
                   (loadV2(Words + B) & loadV2(Masks + B));
@@ -122,26 +85,12 @@ inline ptrdiff_t firstConflict(const uint64_t *Words, const uint64_t *Masks,
     }
     if (!(Hot[0] | Hot[1]))
       return -1;
-    ptrdiff_t I = 0;
-    while (!(Words[I] & Masks[I]))
-      ++I;
-    return I;
+    // A hot cover falls through: the loop finds the exact index.
   }
-#else
-  if (N <= 4) {
-    size_t Last = N - 1;
-    uint64_t Hot = (Words[0] & Masks[0]) | (Words[Last] & Masks[Last]);
-    if (N > 2)
-      Hot |= (Words[1] & Masks[1]) | (Words[N - 2] & Masks[N - 2]);
-    if (!Hot)
-      return -1;
-    ptrdiff_t I = 0;
-    while (!(Words[I] & Masks[I]))
-      ++I;
-    return I;
-  }
-#endif
-  return firstConflictDispatch(Words, Masks, N);
+  for (size_t I = 0; I < N; ++I)
+    if (Words[I] & Masks[I])
+      return static_cast<ptrdiff_t>(I);
+  return -1;
 }
 
 /// Words[i] |= Masks[i] over the span (reserve). OR is idempotent, so the
@@ -158,8 +107,7 @@ inline void orInto(uint64_t *Words, const uint64_t *Masks, size_t N) {
     Words[1] |= Masks[1];
     return;
   }
-#ifndef RMD_FORCE_SCALAR
-  if (N <= 8) {
+  if (N <= ShortSpanWords) {
     size_t B = N - 2;
     storeV2(Words, loadV2(Words) | loadV2(Masks));
     storeV2(Words + B, loadV2(Words + B) | loadV2(Masks + B));
@@ -170,19 +118,8 @@ inline void orInto(uint64_t *Words, const uint64_t *Masks, size_t N) {
     }
     return;
   }
-#else
-  if (N <= 4) {
-    size_t Last = N - 1;
-    Words[0] |= Masks[0];
-    Words[Last] |= Masks[Last];
-    if (N > 2) {
-      Words[1] |= Masks[1];
-      Words[N - 2] |= Masks[N - 2];
-    }
-    return;
-  }
-#endif
-  orIntoDispatch(Words, Masks, N);
+  for (size_t I = 0; I < N; ++I)
+    Words[I] |= Masks[I];
 }
 
 /// Words[i] |= Masks[i] over the span, returning the OR-reduction of the
@@ -206,8 +143,7 @@ inline uint64_t orIntoCheck(uint64_t *Words, const uint64_t *Masks, size_t N) {
     Words[1] |= Masks[1];
     return Clash;
   }
-#ifndef RMD_FORCE_SCALAR
-  if (N <= 8) {
+  if (N <= ShortSpanWords) {
     size_t B = N - 2;
     ShortV2 W0 = loadV2(Words), M0 = loadV2(Masks);
     ShortV2 WB = loadV2(Words + B), MB = loadV2(Masks + B);
@@ -226,22 +162,12 @@ inline uint64_t orIntoCheck(uint64_t *Words, const uint64_t *Masks, size_t N) {
     storeV2(Words + B, WB | MB);
     return Clash[0] | Clash[1];
   }
-#else
-  if (N <= 4) {
-    size_t Last = N - 1;
-    uint64_t Clash = (Words[0] & Masks[0]) | (Words[Last] & Masks[Last]);
-    if (N > 2)
-      Clash |= (Words[1] & Masks[1]) | (Words[N - 2] & Masks[N - 2]);
-    Words[0] |= Masks[0];
-    Words[Last] |= Masks[Last];
-    if (N > 2) {
-      Words[1] |= Masks[1];
-      Words[N - 2] |= Masks[N - 2];
-    }
-    return Clash;
+  uint64_t Clash = 0;
+  for (size_t I = 0; I < N; ++I) {
+    Clash |= Words[I] & Masks[I];
+    Words[I] |= Masks[I];
   }
-#endif
-  return orIntoCheckDispatch(Words, Masks, N);
+  return Clash;
 }
 
 /// Words[i] &= ~Masks[i] over the span (release). AND-NOT is idempotent;
@@ -258,8 +184,7 @@ inline void andNotInto(uint64_t *Words, const uint64_t *Masks, size_t N) {
     Words[1] &= ~Masks[1];
     return;
   }
-#ifndef RMD_FORCE_SCALAR
-  if (N <= 8) {
+  if (N <= ShortSpanWords) {
     size_t B = N - 2;
     storeV2(Words, loadV2(Words) & ~loadV2(Masks));
     storeV2(Words + B, loadV2(Words + B) & ~loadV2(Masks + B));
@@ -270,19 +195,8 @@ inline void andNotInto(uint64_t *Words, const uint64_t *Masks, size_t N) {
     }
     return;
   }
-#else
-  if (N <= 4) {
-    size_t Last = N - 1;
-    Words[0] &= ~Masks[0];
-    Words[Last] &= ~Masks[Last];
-    if (N > 2) {
-      Words[1] &= ~Masks[1];
-      Words[N - 2] &= ~Masks[N - 2];
-    }
-    return;
-  }
-#endif
-  andNotIntoDispatch(Words, Masks, N);
+  for (size_t I = 0; I < N; ++I)
+    Words[I] &= ~Masks[I];
 }
 
 //===----------------------------------------------------------------------===//
@@ -290,116 +204,62 @@ inline void andNotInto(uint64_t *Words, const uint64_t *Masks, size_t N) {
 //===----------------------------------------------------------------------===//
 //
 // The query module pads every pattern of a machine to one fixed row width
-// (2, 4 or 8 words, zero-filled past the real span) so the hot ops can run
-// a single fixed-width kernel with no span-length branch: mixed-length
-// traffic was costing a near-certain mispredict per call on machines whose
-// op mix straddles the one-word/multi-word boundary. \p S is a per-module
-// constant, so the switch below predicts perfectly; zero-padded words
-// conflict with nothing and OR/AND-NOT of zero is the identity.
+// (zero-filled past the real span) so the hot ops can run a single
+// fixed-width kernel with no span-length branch: mixed-length traffic was
+// costing a near-certain mispredict per call on machines whose op mix
+// straddles the one-word/multi-word boundary. \p S is 4 (a half row) or 8
+// (a full row) and per-pattern constant, so the width pick predicts well;
+// zero-padded words conflict with nothing and OR/AND-NOT of zero is the
+// identity.
 
 /// OR-reduction of Words[i] & Masks[i] over a fixed-width row.
 inline uint64_t rowHot(const uint64_t *Words, const uint64_t *Masks,
                        size_t S) {
-#ifndef RMD_FORCE_SCALAR
-  switch (S) {
-  case 2: {
-    ShortV2 H = loadV2(Words) & loadV2(Masks);
-    return H[0] | H[1];
-  }
-  case 4: {
-    ShortV2 H = (loadV2(Words) & loadV2(Masks)) |
-                (loadV2(Words + 2) & loadV2(Masks + 2));
-    return H[0] | H[1];
-  }
-  default: {
-    ShortV2 H = (loadV2(Words) & loadV2(Masks)) |
-                (loadV2(Words + 2) & loadV2(Masks + 2)) |
-                (loadV2(Words + 4) & loadV2(Masks + 4)) |
-                (loadV2(Words + 6) & loadV2(Masks + 6));
-    return H[0] | H[1];
-  }
-  }
-#else
-  uint64_t Hot = 0;
-  for (size_t I = 0; I < S; ++I)
-    Hot |= Words[I] & Masks[I];
-  return Hot;
-#endif
+  ShortV2 H = (loadV2(Words) & loadV2(Masks)) |
+              (loadV2(Words + 2) & loadV2(Masks + 2));
+  if (S > 4)
+    H |= (loadV2(Words + 4) & loadV2(Masks + 4)) |
+         (loadV2(Words + 6) & loadV2(Masks + 6));
+  return H[0] | H[1];
 }
 
 /// Words[i] |= Masks[i] over a fixed-width row, returning the OR-reduction
 /// of the pre-update overlaps (see orIntoCheck).
 inline uint64_t rowOrCheck(uint64_t *Words, const uint64_t *Masks, size_t S) {
-#ifndef RMD_FORCE_SCALAR
-  switch (S) {
-  case 2: {
-    ShortV2 W0 = loadV2(Words), M0 = loadV2(Masks);
-    storeV2(Words, W0 | M0);
-    ShortV2 H = W0 & M0;
-    return H[0] | H[1];
-  }
-  case 4: {
-    ShortV2 W0 = loadV2(Words), M0 = loadV2(Masks);
-    ShortV2 W2 = loadV2(Words + 2), M2 = loadV2(Masks + 2);
-    storeV2(Words, W0 | M0);
-    storeV2(Words + 2, W2 | M2);
-    ShortV2 H = (W0 & M0) | (W2 & M2);
-    return H[0] | H[1];
-  }
-  default: {
-    ShortV2 W0 = loadV2(Words), M0 = loadV2(Masks);
-    ShortV2 W2 = loadV2(Words + 2), M2 = loadV2(Masks + 2);
+  ShortV2 W0 = loadV2(Words), M0 = loadV2(Masks);
+  ShortV2 W2 = loadV2(Words + 2), M2 = loadV2(Masks + 2);
+  storeV2(Words, W0 | M0);
+  storeV2(Words + 2, W2 | M2);
+  ShortV2 H = (W0 & M0) | (W2 & M2);
+  if (S > 4) {
     ShortV2 W4 = loadV2(Words + 4), M4 = loadV2(Masks + 4);
     ShortV2 W6 = loadV2(Words + 6), M6 = loadV2(Masks + 6);
-    storeV2(Words, W0 | M0);
-    storeV2(Words + 2, W2 | M2);
     storeV2(Words + 4, W4 | M4);
     storeV2(Words + 6, W6 | M6);
-    ShortV2 H = (W0 & M0) | (W2 & M2) | (W4 & M4) | (W6 & M6);
-    return H[0] | H[1];
+    H |= (W4 & M4) | (W6 & M6);
   }
-  }
-#else
-  uint64_t Hot = 0;
-  for (size_t I = 0; I < S; ++I) {
-    Hot |= Words[I] & Masks[I];
-    Words[I] |= Masks[I];
-  }
-  return Hot;
-#endif
+  return H[0] | H[1];
 }
 
 /// Words[i] &= ~Masks[i] over a fixed-width row.
 inline void rowAndNot(uint64_t *Words, const uint64_t *Masks, size_t S) {
-#ifndef RMD_FORCE_SCALAR
-  switch (S) {
-  case 2:
-    storeV2(Words, loadV2(Words) & ~loadV2(Masks));
-    break;
-  case 4:
-    storeV2(Words, loadV2(Words) & ~loadV2(Masks));
-    storeV2(Words + 2, loadV2(Words + 2) & ~loadV2(Masks + 2));
-    break;
-  default:
-    storeV2(Words, loadV2(Words) & ~loadV2(Masks));
-    storeV2(Words + 2, loadV2(Words + 2) & ~loadV2(Masks + 2));
+  storeV2(Words, loadV2(Words) & ~loadV2(Masks));
+  storeV2(Words + 2, loadV2(Words + 2) & ~loadV2(Masks + 2));
+  if (S > 4) {
     storeV2(Words + 4, loadV2(Words + 4) & ~loadV2(Masks + 4));
     storeV2(Words + 6, loadV2(Words + 6) & ~loadV2(Masks + 6));
-    break;
   }
-#else
-  for (size_t I = 0; I < S; ++I)
-    Words[I] &= ~Masks[I];
-#endif
 }
 
 //===----------------------------------------------------------------------===//
 // Cache-line-aligned word storage
 //===----------------------------------------------------------------------===//
 
-/// Minimal aligned allocator: WordVector spans start on a cache line, so a
-/// 256-bit load never splits a line and neighbouring spans don't false-share
-/// the reserved table's tail.
+/// Minimal aligned allocator: WordVector spans start on a cache line, so
+/// each 64-byte row of the uniform-row mirror is exactly one line. Replacing
+/// it with std::vector<uint64_t> did not measure free (server-batch unit_ms
+/// +3.5% and +4.6% against the aligned tree in two 10-pair rounds), so it
+/// stays.
 template <typename T, size_t Alignment> struct AlignedAllocator {
   using value_type = T;
 
