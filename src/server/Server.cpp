@@ -5,10 +5,10 @@
 #include "query/DiscreteQuery.h" // hasModuloSelfConflict
 #include "sched/GraphIO.h"
 #include "sched/IterativeModuloScheduler.h"
-#include "support/Degradation.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 #include "support/Stats.h"
+#include "support/ThreadPool.h" // resolveThreadCount
 
 #include <cerrno>
 #include <chrono>
@@ -92,7 +92,7 @@ static bool writeFully(int Fd, const void *Buf, size_t Size) {
 }
 
 RmdServer::RmdServer(ServerOptions TheOptions)
-    : Options(std::move(TheOptions)), Queue(Options.QueueCapacity) {}
+    : Options(std::move(TheOptions)) {}
 
 Expected<std::unique_ptr<RmdServer>> RmdServer::start(ServerOptions Options) {
   if (Options.SocketPath.empty())
@@ -103,12 +103,8 @@ Expected<std::unique_ptr<RmdServer>> RmdServer::start(ServerOptions Options) {
   Status S = Server->bindAndListen();
   if (!S)
     return S;
-  unsigned W = ThreadPool::resolveThreadCount(Server->Options.Workers);
-  Server->Options.Workers = W;
-  Server->Workers = std::make_unique<ThreadPool>(W);
-  Server->DispatcherThread = std::thread([S = Server.get()] {
-    S->dispatcherLoop();
-  });
+  Server->Options.Workers =
+      ThreadPool::resolveThreadCount(Server->Options.Workers);
   Server->AcceptThread = std::thread([S = Server.get()] { S->acceptLoop(); });
   return Server;
 }
@@ -167,19 +163,16 @@ void RmdServer::acceptLoop() {
       continue;
     }
     reapFinishedReaders(false);
-    auto Conn = std::make_shared<Connection>();
-    Conn->Fd = Fd;
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    Conn->Id = NextConnId++;
-    Connections.emplace_back();
-    ConnEntry &Entry = Connections.back();
-    Entry.Conn = Conn;
-    Entry.Reader = std::thread([this, E = &Entry] { readerLoop(E); });
+    Connection &Conn = Connections.emplace_back();
+    Conn.Fd = Fd;
+    Conn.Id = NextConnId++;
+    Conn.Reader = std::thread([this, &Conn] { readerLoop(Conn); });
   }
 }
 
-void RmdServer::readerLoop(ConnEntry *Entry) {
-  Connection &Conn = *Entry->Conn;
+void RmdServer::readerLoop(Connection &Conn) {
+  std::vector<uint8_t> Payload;
   while (true) {
     uint8_t LenBytes[4];
     if (!readFully(Conn.Fd, LenBytes, 4))
@@ -200,60 +193,54 @@ void RmdServer::readerLoop(ConnEntry *Entry) {
                                      std::to_string(kMaxFrameBytes) + "]")));
       break;
     }
-    WorkItem Item;
-    Item.Conn = Entry->Conn;
-    Item.Payload.resize(Len);
-    if (!readFully(Conn.Fd, Item.Payload.data(), Len))
+    Payload.resize(Len);
+    if (!readFully(Conn.Fd, Payload.data(), Len))
       break;
-    // Peek before the push: tryPush takes the item by value, so a failed
-    // push has still consumed the payload.
-    MessageType Type;
-    uint32_t RequestId;
-    peekFrame(Item.Payload, Type, RequestId);
-    bool InjectFull = FaultInjection::fire(faultpoints::ServerEnqueue);
-    if (InjectFull || !Queue.tryPush(std::move(Item))) {
-      // Backpressure: the queue is full (or behaves as if, under the
-      // server.enqueue fault). The client gets a structured Overloaded
-      // answer for *this* request and may retry; nothing is dropped
-      // silently.
+    if (FaultInjection::fire(faultpoints::ServerEnqueue) || !admit()) {
+      // Backpressure: every slot is busy and the waiting room is full (or
+      // behaves as if, under the server.enqueue fault). The client gets a
+      // structured Overloaded answer for *this* request and may retry;
+      // nothing is dropped silently.
+      MessageType Type;
+      uint32_t RequestId;
+      peekFrame(Payload, Type, RequestId);
       Overloads.fetch_add(1);
       StatOverloads.add();
       sendFrame(Conn, encodeErrorReply(
                           RequestId, Type,
                           Status(ErrorCode::Overloaded,
                                  "server request queue is full")));
+      continue;
     }
+    RequestsServed.fetch_add(1);
+    StatRequests.add();
+    handleRequest(Conn, Payload);
+    release();
   }
   closeConnectionSessions(Conn.Id);
   ::close(Conn.Fd);
-  Entry->Done.store(true);
+  Conn.Done.store(true);
 }
 
-void RmdServer::dispatcherLoop() {
-  // The worker pool's blocks each run drainQueue() until the queue closes.
-  // parallelFor rethrows the first block exception at the join (including
-  // an armed threadpool.task fault); restarting keeps the server degraded
-  // but live instead of dead, mirroring the reduction pipeline's ladder.
-  while (true) {
-    try {
-      Workers->parallelFor(0, Workers->concurrency(),
-                           [this](size_t, size_t) { drainQueue(); });
-      break; // clean return: queue closed and drained
-    } catch (...) {
-      globalDegradation().noteWorkerRethrow();
-      if (Stopping.load() && Queue.closed())
-        break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+bool RmdServer::admit() {
+  std::unique_lock<std::mutex> Lock(AdmitMutex);
+  if (Running == Options.Workers) {
+    if (Waiting == Options.QueueCapacity)
+      return false;
+    ++Waiting;
+    SlotFreed.wait(Lock, [this] { return Running < Options.Workers; });
+    --Waiting;
   }
+  ++Running;
+  return true;
 }
 
-void RmdServer::drainQueue() {
-  while (std::optional<WorkItem> Item = Queue.pop()) {
-    RequestsServed.fetch_add(1);
-    StatRequests.add();
-    handleRequest(*Item->Conn, Item->Payload);
+void RmdServer::release() {
+  {
+    std::lock_guard<std::mutex> Lock(AdmitMutex);
+    --Running;
   }
+  SlotFreed.notify_one();
 }
 
 void RmdServer::reapFinishedReaders(bool JoinAll) {
@@ -291,15 +278,12 @@ void RmdServer::stop() {
   {
     // Wake blocked readers so they observe EOF and tear down.
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (ConnEntry &E : Connections)
-      ::shutdown(E.Conn->Fd, SHUT_RDWR);
+    for (Connection &C : Connections)
+      ::shutdown(C.Fd, SHUT_RDWR);
   }
   if (AcceptThread.joinable())
     AcceptThread.join();
   reapFinishedReaders(true);
-  Queue.close();
-  if (DispatcherThread.joinable())
-    DispatcherThread.join();
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
@@ -334,7 +318,6 @@ void RmdServer::sendFrame(Connection &Conn,
   uint32_t Len = static_cast<uint32_t>(Payload.size());
   for (int I = 0; I < 4; ++I)
     LenBytes[I] = static_cast<uint8_t>(Len >> (8 * I));
-  std::lock_guard<std::mutex> Lock(Conn.WriteMutex);
   if (writeFully(Conn.Fd, LenBytes, 4))
     writeFully(Conn.Fd, Payload.data(), Payload.size());
 }
@@ -507,7 +490,7 @@ RmdServer::handleOpenSession(const OpenSessionRequest &R, uint64_t ConnId,
   }
   Config.UnionAlternativeCheck = R.UnionAlt != 0;
 
-  auto S = std::make_shared<Session>();
+  auto S = std::make_unique<Session>();
   S->ConnId = ConnId;
   S->Machine = M;
   S->Config = Config;
@@ -520,19 +503,18 @@ RmdServer::handleOpenSession(const OpenSessionRequest &R, uint64_t ConnId,
       S->SelfConflict[Op] =
           hasModuloSelfConflict(MD.operation(Op).table(), R.ModuloII);
   }
+  OpenSessionReply Reply;
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
-    S->Id = NextSessionId++;
-    Sessions.emplace(S->Id, S);
+    S->Id = Reply.SessionId = NextSessionId++;
+    Sessions.emplace(S->Id, std::move(S));
   }
   StatSessionsOpened.add();
-  OpenSessionReply Reply;
-  Reply.SessionId = S->Id;
   return encodeReply(RequestId, Reply);
 }
 
-std::shared_ptr<RmdServer::Session>
-RmdServer::findSession(uint32_t Id, uint64_t ConnId, Status &Error) {
+RmdServer::Session *RmdServer::findSession(uint32_t Id, uint64_t ConnId,
+                                           Status &Error) {
   std::lock_guard<std::mutex> Lock(SessionsMutex);
   auto It = Sessions.find(Id);
   if (It == Sessions.end()) {
@@ -548,14 +530,14 @@ RmdServer::findSession(uint32_t Id, uint64_t ConnId, Status &Error) {
                    "unknown session id " + std::to_string(Id));
     return nullptr;
   }
-  return It->second;
+  return It->second.get();
 }
 
 std::vector<uint8_t> RmdServer::handleBatch(const BatchRequest &R,
                                             uint64_t ConnId,
                                             uint32_t RequestId,
                                             Status &Error) {
-  std::shared_ptr<Session> S = findSession(R.SessionId, ConnId, Error);
+  Session *S = findSession(R.SessionId, ConnId, Error);
   if (!S)
     return {};
 
@@ -592,49 +574,46 @@ std::vector<uint8_t> RmdServer::handleBatch(const BatchRequest &R,
   BatchReply Reply;
   Reply.Results.resize(R.Events.size());
   std::vector<InstanceId> Evicted;
-  {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    ContentionQueryModule &Q = *S->Module;
-    for (size_t I = 0; I < R.Events.size(); ++I) {
-      const BatchEvent &E = R.Events[I];
-      switch (E.TheVerb) {
-      case Verb::Check:
-        Reply.Results[I] = Q.check(E.Op, E.Cycle) ? 1 : 0;
-        break;
-      case Verb::Assign:
+  ContentionQueryModule &Q = *S->Module;
+  for (size_t I = 0; I < R.Events.size(); ++I) {
+    const BatchEvent &E = R.Events[I];
+    switch (E.TheVerb) {
+    case Verb::Check:
+      Reply.Results[I] = Q.check(E.Op, E.Cycle) ? 1 : 0;
+      break;
+    case Verb::Assign:
+      Q.assign(E.Op, E.Cycle, E.Instance);
+      ++S->LiveInstances;
+      Reply.Results[I] = kResultDone;
+      break;
+    case Verb::Free:
+      Q.free(E.Op, E.Cycle, E.Instance);
+      --S->LiveInstances;
+      Reply.Results[I] = kResultDone;
+      break;
+    case Verb::CheckAssign:
+      if (Q.check(E.Op, E.Cycle)) {
         Q.assign(E.Op, E.Cycle, E.Instance);
         ++S->LiveInstances;
-        Reply.Results[I] = kResultDone;
-        break;
-      case Verb::Free:
-        Q.free(E.Op, E.Cycle, E.Instance);
-        --S->LiveInstances;
-        Reply.Results[I] = kResultDone;
-        break;
-      case Verb::CheckAssign:
-        if (Q.check(E.Op, E.Cycle)) {
-          Q.assign(E.Op, E.Cycle, E.Instance);
-          ++S->LiveInstances;
-          Reply.Results[I] = 1;
-        } else {
-          Reply.Results[I] = 0;
-        }
-        break;
-      case Verb::AssignFree: {
-        Evicted.clear();
-        Q.assignAndFree(E.Op, E.Cycle, E.Instance, Evicted);
-        S->LiveInstances += 1;
-        S->LiveInstances -= Evicted.size();
-        Reply.Results[I] = static_cast<uint8_t>(
-            std::min<size_t>(Evicted.size(), 0xFE));
-        break;
+        Reply.Results[I] = 1;
+      } else {
+        Reply.Results[I] = 0;
       }
-      case Verb::Reset:
-        Q.reset();
-        S->LiveInstances = 0;
-        Reply.Results[I] = kResultDone;
-        break;
-      }
+      break;
+    case Verb::AssignFree: {
+      Evicted.clear();
+      Q.assignAndFree(E.Op, E.Cycle, E.Instance, Evicted);
+      S->LiveInstances += 1;
+      S->LiveInstances -= Evicted.size();
+      Reply.Results[I] = static_cast<uint8_t>(
+          std::min<size_t>(Evicted.size(), 0xFE));
+      break;
+    }
+    case Verb::Reset:
+      Q.reset();
+      S->LiveInstances = 0;
+      Reply.Results[I] = kResultDone;
+      break;
     }
   }
   StatBatchQueries.add(R.Events.size());
@@ -705,22 +684,18 @@ std::vector<uint8_t> RmdServer::handleStats(const StatsRequest &R,
     Reply.Server.ProtocolErrors = ProtocolErrors.load();
     return encodeReply(RequestId, Reply);
   }
-  std::shared_ptr<Session> S = findSession(R.SessionId, ConnId, Error);
+  Session *S = findSession(R.SessionId, ConnId, Error);
   if (!S)
     return {};
-  {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Reply.Session.Counters = S->Module->counters();
-    Reply.Session.LiveInstances = S->LiveInstances;
-  }
+  Reply.Session.Counters = S->Module->counters();
+  Reply.Session.LiveInstances = S->LiveInstances;
   return encodeReply(RequestId, Reply);
 }
 
 std::vector<uint8_t>
 RmdServer::handleCloseSession(const CloseSessionRequest &R, uint64_t ConnId,
                               uint32_t RequestId, Status &Error) {
-  std::shared_ptr<Session> S = findSession(R.SessionId, ConnId, Error);
-  if (!S)
+  if (!findSession(R.SessionId, ConnId, Error))
     return {};
   {
     std::lock_guard<std::mutex> Lock(SessionsMutex);

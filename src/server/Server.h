@@ -7,14 +7,18 @@
 /// contention queries and schedule-loop requests for many concurrent
 /// clients over a local stream socket (rmd-wire-v1, server/Protocol.h).
 ///
-/// Threading model: one accept thread; one reader thread per connection
-/// that frames requests into a bounded queue (support/BoundedQueue.h); a
-/// support/ThreadPool worker pool draining the queue. Backpressure is
-/// explicit — a full queue answers ErrorCode::Overloaded immediately
-/// instead of stalling the socket, so a client always knows whether its
-/// request was accepted. Mutable state is per-session (each session owns
-/// one query module behind its own mutex); everything sessions share —
-/// reduced descriptions, pattern arenas — is immutable by construction.
+/// Threading model: one accept thread and one thread per connection.
+/// RmdClient is strictly request/response and a session is usable only
+/// over the connection that opened it, so each connection's thread runs
+/// every request it reads to completion: read the frame, admit, handle,
+/// send the reply, release. Admission bounds the work in flight —
+/// ServerOptions::Workers requests execute at once and at most
+/// QueueCapacity more wait for a slot; a request that finds both full is
+/// answered ErrorCode::Overloaded immediately instead of stalling the
+/// socket, so a client always knows whether its request was accepted.
+/// Mutable state is per-session and lock-free (see Session); everything
+/// sessions share — reduced descriptions, pattern arenas — is immutable
+/// by construction.
 ///
 /// Degradation ladder: machine loading rides reduceMachineOrFallback (a
 /// failed reduction serves the original description and reports Degraded);
@@ -34,10 +38,8 @@
 
 #include "server/MachineRegistry.h"
 #include "server/Protocol.h"
-#include "support/BoundedQueue.h"
 #include "support/Deadline.h"
 #include "support/Status.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -60,10 +62,11 @@ struct ServerOptions {
   /// repo. Any other spelling is a filesystem socket path.
   std::string SocketPath;
 
-  /// Worker threads draining the request queue; 0 = one per hardware core.
+  /// Requests that may execute at once; 0 = one per hardware core.
   unsigned Workers = 0;
 
-  /// Bounded request-queue capacity; a full queue answers Overloaded.
+  /// Requests that may wait for an execution slot; a request that finds
+  /// every slot busy and this many already waiting answers Overloaded.
   size_t QueueCapacity = 256;
 };
 
@@ -106,21 +109,22 @@ public:
 private:
   explicit RmdServer(ServerOptions Options);
 
+  /// One accepted socket and the thread that serves it.
   struct Connection {
     int Fd = -1;
     uint64_t Id = 0;
-    std::mutex WriteMutex;
+    std::thread Reader;
+    std::atomic<bool> Done{false};
   };
 
+  /// Used only by the thread of connection ConnId, and by stop() after
+  /// joining it, so it needs no lock.
   struct Session {
     uint32_t Id = 0;
     uint64_t ConnId = 0;
     const LoadedMachine *Machine = nullptr;
     QueryConfig Config;
     std::string Tenant;
-    /// Guards Module and LiveInstances: batches of one session serialize,
-    /// batches of different sessions run on different modules in parallel.
-    std::mutex Mutex;
     std::unique_ptr<ContentionQueryModule> Module;
     /// Ops that self-conflict at this II (modulo sessions; empty
     /// otherwise). Assign/AssignFree on them is rejected up front — the
@@ -129,22 +133,13 @@ private:
     uint64_t LiveInstances = 0;
   };
 
-  struct WorkItem {
-    std::shared_ptr<Connection> Conn;
-    std::vector<uint8_t> Payload;
-  };
-
-  struct ConnEntry {
-    std::shared_ptr<Connection> Conn;
-    std::thread Reader;
-    std::atomic<bool> Done{false};
-  };
-
   Status bindAndListen();
   void acceptLoop();
-  void readerLoop(ConnEntry *Entry);
-  void dispatcherLoop();
-  void drainQueue();
+  void readerLoop(Connection &Conn);
+  /// Takes an execution slot, waiting for one while the waiting room has
+  /// space; false when it has none (the caller answers Overloaded).
+  bool admit();
+  void release();
   void reapFinishedReaders(bool JoinAll);
   void closeConnectionSessions(uint64_t ConnId);
 
@@ -180,8 +175,7 @@ private:
 
   /// Looks up a session, enforcing connection ownership (a session is
   /// usable only over the connection that opened it).
-  std::shared_ptr<Session> findSession(uint32_t Id, uint64_t ConnId,
-                                       Status &Error);
+  Session *findSession(uint32_t Id, uint64_t ConnId, Status &Error);
 
   ServerOptions Options;
   int ListenFd = -1;
@@ -191,17 +185,19 @@ private:
 
   MachineRegistry Registry;
 
-  BoundedQueue<WorkItem> Queue;
-  std::unique_ptr<ThreadPool> Workers;
   std::thread AcceptThread;
-  std::thread DispatcherThread;
+
+  std::mutex AdmitMutex;
+  std::condition_variable SlotFreed;
+  unsigned Running = 0; ///< requests holding an execution slot
+  size_t Waiting = 0;   ///< requests waiting for one
 
   std::mutex ConnMutex;
-  std::list<ConnEntry> Connections;
+  std::list<Connection> Connections;
   uint64_t NextConnId = 1;
 
   mutable std::mutex SessionsMutex;
-  std::map<uint32_t, std::shared_ptr<Session>> Sessions;
+  std::map<uint32_t, std::unique_ptr<Session>> Sessions;
   uint32_t NextSessionId = 1;
 
   std::mutex ShutdownMutex;

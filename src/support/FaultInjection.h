@@ -64,8 +64,9 @@ inline constexpr const char *SchedDeadline = "sched.deadline";
 /// RmdServer's accept loop behaves as if accept() failed; the connection
 /// attempt is dropped and the loop keeps serving.
 inline constexpr const char *ServerAccept = "server.accept";
-/// RmdServer's request enqueue behaves as if the bounded queue was full;
-/// the client receives a structured Overloaded error.
+/// RmdServer's request admission behaves as if every execution slot and
+/// waiting place was taken; the client receives a structured Overloaded
+/// error.
 inline constexpr const char *ServerEnqueue = "server.enqueue";
 /// RmdServer's open-session path behaves as if session allocation failed;
 /// the client receives a structured error and no session is registered.

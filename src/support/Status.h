@@ -50,7 +50,8 @@ enum class ErrorCode {
   RoleUnresolved,
   /// A deterministically injected fault (support/FaultInjection.h).
   FaultInjected,
-  /// A server rejected work because its bounded request queue was full.
+  /// A server rejected work because every execution slot was busy and its
+  /// waiting room was full.
   /// Explicit backpressure: the client should retry later or shed load.
   Overloaded,
   /// A malformed, truncated, or version-mismatched wire frame, or a

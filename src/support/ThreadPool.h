@@ -1,10 +1,11 @@
 //===- support/ThreadPool.h - Deterministic block-parallel pool -*- C++ -*-===//
 ///
 /// \file
-/// A small reusable worker pool for the reduction pipeline. The only
-/// primitive is parallelFor(): a half-open index range is split into one
-/// contiguous block per participating thread and each block is processed by
-/// exactly one thread. Blocks are assigned by block index, never by work
+/// A small reusable worker pool serving only the reduction pipeline (the
+/// contention-query server runs each request on its connection's thread
+/// and needs no pool). The only primitive is parallelFor(): a half-open
+/// index range is split into one contiguous block per participating
+/// thread and each block is processed by exactly one thread. Blocks are assigned by block index, never by work
 /// stealing, so the (block -> thread) mapping is deterministic — callers
 /// that write only to per-index slots get bit-identical results at every
 /// thread count by construction.

@@ -55,8 +55,7 @@ struct PipelineOutcome {
   ModuloScheduleResult R;     ///< scheduling result (when parse succeeded)
   /// The in-process server round-trip: ok, or the structured error the
   /// client saw. Never an abort, never a hang (the client arms a recv
-  /// timeout so a dispatcher wedged by threadpool.task degrades to
-  /// TimedOut).
+  /// timeout, so a request that is never answered ends TimedOut).
   Status ServerStatus;
   bool ServerLeakedSessions = false; ///< sessions outlived their teardown
 };
@@ -178,9 +177,10 @@ void expectRecoveryOrCleanError(const PipelineOutcome &Got,
   // completing at all rules out an abort), and teardown closed every
   // session.
   EXPECT_FALSE(Got.ServerLeakedSessions) << Spec;
-  if (!Got.ServerStatus.isOk())
+  if (!Got.ServerStatus.isOk()) {
     EXPECT_FALSE(Got.ServerStatus.message().empty())
         << Spec << ": structured errors carry a message";
+  }
 
   if (Got.ParseFailed)
     return; // the mdl.parse rung: a clean diagnostic, nothing scheduled

@@ -79,9 +79,10 @@ bool agrees(const DepGraph &G, const std::string &Label) {
   if (Want < 0) {
     EXPECT_FALSE(Got.hasValue()) << Label << ": oracle rejects, got "
                                  << Got.value();
-    if (!Got.hasValue())
+    if (!Got.hasValue()) {
       EXPECT_EQ(Got.status().code(), ErrorCode::InfeasibleRecurrence)
           << Label;
+    }
     return !Got.hasValue() &&
            Got.status().code() == ErrorCode::InfeasibleRecurrence;
   }

@@ -7,8 +7,9 @@
 // serves from its shared pattern arena — every per-event result, the
 // final WorkCounters, and a full occupancy probe grid must match
 // bit-identically at 1, 4, and 16 clients. Any cross-session bleed
-// through the shared arena, a lock dropped around session state, or a
-// reordering in the worker pool shows up as a mismatch.
+// through the shared arena, session state touched by a thread other than
+// its connection's, or a reordering of one connection's requests shows
+// up as a mismatch.
 //
 // Runs under the tsan preset (label "server") to catch data races the
 // differential comparison alone cannot see.
@@ -22,6 +23,7 @@
 #include "server/Client.h"
 #include "server/Server.h"
 #include "server/Workload.h"
+#include "support/FaultInjection.h"
 #include "support/Stats.h"
 
 #include "gtest/gtest.h"
@@ -208,6 +210,81 @@ TEST(ServerConcurrency, FourClientsModuloSharedArenaMatchLocal) {
 TEST(ServerConcurrency, SixteenClientsModuloMatchLocal) {
   runDifferential("mips-r3000", QueryConfig::modulo(6),
                   /*NumClients=*/16, /*Batches=*/6, /*BatchLen=*/128);
+}
+
+TEST(ServerConcurrency, RequestsWaitForASlotWhileTheWaitingRoomHasRoom) {
+  // One execution slot and three waiting places: four closed-loop clients
+  // never have more than four requests in flight, so each request either
+  // runs or waits, and none is answered Overloaded.
+  ServerOptions Options;
+  Options.SocketPath = uniqueSocket("wait");
+  Options.Workers = 1;
+  Options.QueueCapacity = 3;
+  Expected<std::unique_ptr<RmdServer>> Server =
+      RmdServer::start(std::move(Options));
+  ASSERT_TRUE(bool(Server)) << Server.status().render();
+
+  MachineDescription Reduced = reducedFor(loadMachine("cydra5").take());
+  QueryConfig Config = QueryConfig::linear(0);
+  std::vector<ClientOutcome> Outcomes(4);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < Outcomes.size(); ++I)
+    Threads.emplace_back(runTenant, Server.value()->socketPath(),
+                         std::string("cydra5"), std::cref(Reduced),
+                         std::cref(Config), /*Seed=*/0xf00d00 + I,
+                         /*Batches=*/50, /*BatchLen=*/64,
+                         std::ref(Outcomes[I]));
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t I = 0; I < Outcomes.size(); ++I)
+    EXPECT_TRUE(Outcomes[I].Ok) << "client " << I << ": " << Outcomes[I].What;
+  EXPECT_EQ(Server.value()->overloadRejections(), 0u);
+  EXPECT_EQ(Server.value()->sessionCount(), 0u);
+}
+
+TEST(ServerConcurrency, ArmedThreadPoolFaultLeavesRequestsServed) {
+  // Requests run on their connection's thread, not on a support/ThreadPool,
+  // so an armed threadpool.task cannot wedge the server: a full
+  // load/open/batch/close round trip still succeeds well inside the
+  // client's receive timeout.
+  ASSERT_TRUE(FaultInjection::instance()
+                  .configure(faultpoints::ThreadPoolTask)
+                  .isOk());
+  Status RoundTrip = [] {
+    ServerOptions Options;
+    Options.SocketPath = uniqueSocket("tpfault");
+    Options.Workers = 2;
+    Expected<std::unique_ptr<RmdServer>> Server =
+        RmdServer::start(std::move(Options));
+    if (!Server)
+      return Server.status();
+    Expected<std::unique_ptr<RmdClient>> Client =
+        RmdClient::connect(Server.value()->socketPath(),
+                           /*RecvTimeoutMs=*/2000);
+    if (!Client)
+      return Client.status();
+    RmdClient &C = *Client.value();
+    Expected<LoadMachineReply> M = C.loadMachine("fig1");
+    if (!M)
+      return M.status();
+    OpenSessionRequest OpenReq;
+    OpenReq.MachineId = M.value().MachineId;
+    Expected<OpenSessionReply> Open = C.openSession(OpenReq);
+    if (!Open)
+      return Open.status();
+    BatchRequest Batch;
+    Batch.SessionId = Open.value().SessionId;
+    Batch.Events.push_back({Verb::CheckAssign, 0, 0, 1});
+    Batch.Events.push_back({Verb::Check, 0, 0, 0});
+    Expected<BatchReply> R = C.runBatch(Batch);
+    if (!R)
+      return R.status();
+    if (R.value().Results != std::vector<uint8_t>{1, 0})
+      return Status(ErrorCode::ProtocolError, "wrong batch results");
+    return C.closeSession(Open.value().SessionId);
+  }();
+  FaultInjection::instance().reset();
+  EXPECT_TRUE(RoundTrip.isOk()) << RoundTrip.render();
 }
 
 TEST(ServerConcurrency, MixedConfigsShareOneMachine) {

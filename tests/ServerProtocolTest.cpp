@@ -270,8 +270,9 @@ TEST(ServerProtocol, TruncatedFramesRejectedEverywhere) {
       continue; // truncated inside the header: structured failure already
     Expected<OpenSessionRequest> R = decodeOpenSessionRequest(In);
     EXPECT_FALSE(bool(R)) << "prefix of length " << Len << " decoded";
-    if (!R)
+    if (!R) {
       EXPECT_EQ(R.status().code(), ErrorCode::ProtocolError);
+    }
   }
 }
 
