@@ -35,7 +35,7 @@ struct CatalogEntry {
 std::span<const CatalogEntry> machineCatalog();
 
 /// The catalog names in catalog order: fig1 cydra5 alpha21064 mips-r3000
-/// toy-vliw playdoh m88100 (the names the wire protocol and perf_gate use).
+/// toy-vliw playdoh m88100 (the names the wire protocol and PerfGateTest use).
 const std::vector<std::string> &machineNames();
 
 /// Parses the embedded MDL of machine \p Name. An unknown name is a
